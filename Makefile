@@ -1,7 +1,8 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test check-docs api-docs check-api-docs bench bench-smoke bench-baseline bench-gate memory-gate
+.PHONY: test check-docs api-docs check-api-docs bench bench-smoke bench-baseline bench-gate memory-gate \
+	bench-ledger ledger-selftest
 
 ## tier-1 verification gate
 test:
@@ -39,6 +40,15 @@ bench-smoke:
 ## full pytest-benchmark run of the hot-path micros
 bench:
 	$(PY) -m pytest benchmarks/bench_micro_hotpaths.py -q
+
+## full perf ledger (five pinned workloads, end to end + per layer, ~3 min):
+## `make bench-ledger N=14` writes BENCH_PR14.json at the repo root
+bench-ledger:
+	$(PY) -m benchmarks.ledger --out BENCH_PR$(N).json
+
+## the ledger's own self-tests (its gates, tracer bookkeeping, --compare)
+ledger-selftest:
+	$(PY) -m pytest benchmarks/ledger -q
 
 ## refresh BENCH_BASELINE.json (seed vs optimised A/B; exits non-zero on drift)
 bench-baseline:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError, SimulationError
 from repro.common.ids import RequestId, TransactionId
@@ -24,7 +25,6 @@ from repro.core.queue_manager import QueueManager
 from repro.system.coordinator import request_issuer_name as _request_issuer_name
 from repro.system.detector import DeadlockDetectorActor
 from repro.core.serializability import ConflictGraph, SerializabilityReport
-from repro.sim.events import Event
 from repro.storage.log import CopyLog, ExecutionLog
 
 
@@ -97,11 +97,26 @@ class ReferenceDataQueue:
         self._entries.sort(key=lambda entry: entry.precedence.sort_key())
 
 
+@dataclass(order=True)
+class ReferenceEvent:
+    """Seed event record: the heap orders the dataclass itself."""
+
+    time: float
+    priority: int
+    seq: int
+    callback: Callable[[], None] = field(compare=False)
+    label: str = field(default="", compare=False)
+    cancelled: bool = field(default=False, compare=False)
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
 class ReferenceEventQueue:
     """Seed event queue: O(n) ``len``/``bool``, head purge only in peek."""
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[ReferenceEvent] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -116,8 +131,8 @@ class ReferenceEventQueue:
         callback,
         priority: int = 0,
         label: str = "",
-    ) -> Event:
-        event = Event(
+    ) -> ReferenceEvent:
+        event = ReferenceEvent(
             time=time,
             priority=priority,
             seq=next(self._counter),
@@ -127,7 +142,7 @@ class ReferenceEventQueue:
         heapq.heappush(self._heap, event)
         return event
 
-    def pop(self) -> Event:
+    def pop(self) -> ReferenceEvent:
         while self._heap:
             event = heapq.heappop(self._heap)
             if not event.cancelled:

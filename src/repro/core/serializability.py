@@ -24,7 +24,13 @@ from repro.storage.log import ExecutionLog
 
 class ConflictGraph:
     """Directed graph with edge ``a -> b`` when some op of ``a`` conflicts with and
-    is implemented before some op of ``b``."""
+    is implemented before some op of ``b``.
+
+    Built from :meth:`CopyLog.conflict_edges`, it holds the edges that
+    *generate* each copy's conflict order, not every conflicting pair: its
+    reachability — which is all Theorem 1 asks about — equals the all-pairs
+    graph's, at a size linear in the log.
+    """
 
     def __init__(self) -> None:
         self._successors: Dict[TransactionId, Set[TransactionId]] = {}
@@ -50,6 +56,9 @@ class ConflictGraph:
             return
         self._successors.setdefault(source, set()).add(target)
         self._successors.setdefault(target, set())
+
+    def __len__(self) -> int:
+        return len(self._successors)
 
     def nodes(self) -> Tuple[TransactionId, ...]:
         """All transactions in the graph."""
@@ -131,7 +140,14 @@ class ConflictGraph:
 
 @dataclass
 class SerializabilityReport:
-    """Result of auditing one execution."""
+    """Result of auditing one execution.
+
+    ``conflict_edges`` is the size of the graph the oracle actually checked.
+    For the batch oracle that is the reduced graph of
+    :meth:`CopyLog.conflict_edges` — distinct generating pairs, at most twice
+    the audited entries — whose transitive closure equals that of the full
+    conflict relation; it is a diagnostic, not part of any run summary.
+    """
 
     serializable: bool
     serialization_order: List[TransactionId] = field(default_factory=list)
@@ -192,12 +208,12 @@ def check_serializable(
         return SerializabilityReport(
             serializable=True,
             serialization_order=order,
-            transactions_checked=len(graph.nodes()),
+            transactions_checked=len(graph),
             conflict_edges=graph.edge_count(),
         )
     return SerializabilityReport(
         serializable=False,
         cycle=graph.find_cycle(),
-        transactions_checked=len(graph.nodes()),
+        transactions_checked=len(graph),
         conflict_edges=graph.edge_count(),
     )

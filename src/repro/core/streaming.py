@@ -275,9 +275,11 @@ class IncrementalSerializabilityChecker:
         — every edge the checker materialised and resolved.  Operations
         implemented after a predecessor retired never materialise an edge
         from it (forgetting those sources is exactly what bounds the
-        memory), so the count is a lower bound of the batch oracle's; the
-        verdict, witness validity and cycle evidence are unaffected because
-        a retired transaction can never gain an incoming edge.
+        memory), so the count is a lower bound of the number of conflicting
+        transaction pairs (not of the batch report, which counts the reduced
+        graph of :meth:`CopyLog.conflict_edges`); the verdict, witness
+        validity and cycle evidence are unaffected because a retired
+        transaction can never gain an incoming edge.
         """
         if self._finalized:
             raise SimulationError("an incremental checker can only finalize once")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -32,22 +32,25 @@ from repro.common.errors import SimulationError
 _COMPACT_MIN_SIZE = 64
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class Event:
     """One scheduled callback.
 
-    Events are ordered by ``(time, priority, seq)``.  ``seq`` is a
+    Events fire in ``(time, priority, seq)`` order.  ``seq`` is a
     monotonically increasing tie-break so that two events scheduled for the
     same instant fire in scheduling order, which keeps runs deterministic.
+    The record itself is not orderable: the queue heaps plain
+    ``(time, priority, seq, event)`` tuples, which compare in C and — ``seq``
+    being unique — never reach the event.
     """
 
     time: float
     priority: int
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    _queue: Optional["EventQueue"] = field(default=None, compare=False, repr=False)
+    callback: Callable[[], None]
+    label: str = ""
+    cancelled: bool = False
+    _queue: Optional["EventQueue"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when it reaches the head."""
@@ -69,7 +72,7 @@ class EventQueue:
     """
 
     def __init__(self, counter: Optional["itertools.count"] = None) -> None:
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._counter = counter if counter is not None else itertools.count()
         self._live = 0        # non-cancelled events still in the heap
         self._cancelled = 0   # cancelled events awaiting reclamation
@@ -88,15 +91,9 @@ class EventQueue:
         label: str = "",
     ) -> Event:
         """Insert a callback to fire at ``time`` and return its event handle."""
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=next(self._counter),
-            callback=callback,
-            label=label,
-            _queue=self,
-        )
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, callback, label, _queue=self)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
@@ -106,7 +103,7 @@ class EventQueue:
         Cancelled events encountered at the head are reclaimed on the way.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -127,17 +124,17 @@ class EventQueue:
         engine uses it to compare the heads of several queues by the full
         ``(time, priority, seq)`` order, not just their times.
         """
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
             self._cancelled -= 1
         if not self._heap:
             return None
-        return self._heap[0]
+        return self._heap[0][3]
 
     def clear(self) -> None:
         """Drop every pending event."""
-        for event in self._heap:
-            event._queue = None
+        for entry in self._heap:
+            entry[3]._queue = None
         self._heap.clear()
         self._live = 0
         self._cancelled = 0
@@ -154,6 +151,6 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled debris in one O(n) pass."""
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0

@@ -23,6 +23,7 @@ communication cost was paid — and recorded in the drop counters).
 from __future__ import annotations
 
 from collections import Counter as CollectionsCounter
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.config import NetworkConfig
@@ -184,7 +185,7 @@ class Network:
             return message
         self._simulator.schedule(
             delay,
-            lambda: receiver.handle(message),
+            partial(receiver.handle, message),
             label=f"{kind}:{sender.name}->{receiver_name}",
             site=receiver.site,
         )

@@ -44,7 +44,7 @@ across real processes for partition-local workloads
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.sim.events import Event, EventQueue
@@ -144,11 +144,14 @@ class PartitionedSimulator(Simulator):
     def _peek_best(self) -> Optional[int]:
         """Index of the partition holding the globally next event."""
         best_index: Optional[int] = None
-        best_event: Optional[Event] = None
+        best_key: Optional[Tuple[float, int, int]] = None
         for index, queue in enumerate(self._partitions):
             event = queue.peek()
-            if event is not None and (best_event is None or event < best_event):
-                best_event = event
+            if event is None:
+                continue
+            key = (event.time, event.priority, event.seq)
+            if best_key is None or key < best_key:
+                best_key = key
                 best_index = index
         return best_index
 

@@ -128,49 +128,42 @@ class CopyLog:
         return iter(self._entries)
 
     def conflict_edges(self) -> Iterator[Tuple[TransactionId, TransactionId]]:
-        """Yield ``(earlier, later)`` transaction pairs with conflicting operations.
+        """Yield ``(earlier, later)`` pairs that generate this copy's conflict order.
 
-        Produces exactly the set of transaction pairs the naive all-pairs scan
-        over the log would (an edge for every conflicting operation pair), but
-        in a single pass.  The sweep keeps the distinct writers and readers
-        seen so far, in first-appearance order, plus a per-transaction
-        watermark into each list recording how much of it has already been
-        emitted towards that transaction — so each (source, target) pair costs
-        O(1) amortised and the whole sweep is O(entries + emitted edges)
-        instead of O(entries^2).
+        One pass keeps the last writer and the distinct readers since its
+        write.  Any operation by ``T`` yields ``last_writer -> T``; a write
+        also yields ``reader -> T`` for each of those readers, and ``T``
+        becomes the last writer with no readers.  Pairs of a transaction with
+        itself are skipped.
 
-        A pair may be yielded more than once when a source transaction both
-        read and wrote before the target's write; callers deduplicate (the
-        conflict graph stores successor *sets*).
+        Every yielded pair is a real conflict (one side is a write, the
+        transactions differ, the first is implemented first).  Every other
+        conflicting pair is a path through the yielded ones — a write reaches
+        any later operation along the chain of writes in between, a read
+        reaches any later write through the first write after it — so a graph
+        built from these edges has the same reachability as one built from
+        all conflicting pairs: the same cycles-or-not verdict and the same
+        lexicographically-smallest topological order.  A read yields at most
+        one pair and a write at most one per read since the previous write
+        plus one, so at most ``2 * len(self)`` pairs are yielded in total.
+
+        A pair recurs when the same two transactions meet again later in the
+        log; callers deduplicate (the conflict graph stores successor *sets*).
         """
-        writer_order: List[TransactionId] = []
-        reader_order: List[TransactionId] = []
-        writers_seen: Set[TransactionId] = set()
-        readers_seen: Set[TransactionId] = set()
-        # How far into writer_order / reader_order edges towards a given
-        # transaction have already been emitted.
-        writer_mark: Dict[TransactionId, int] = {}
-        reader_mark: Dict[TransactionId, int] = {}
+        last_writer: Optional[TransactionId] = None
+        readers: Dict[TransactionId, None] = {}  # insertion-ordered set
         for entry in self._entries:
             transaction = entry.transaction
-            # Every operation conflicts with all earlier writes by others.
-            for writer in writer_order[writer_mark.get(transaction, 0):]:
-                if writer != transaction:
-                    yield writer, transaction
-            writer_mark[transaction] = len(writer_order)
+            if last_writer is not None and last_writer != transaction:
+                yield last_writer, transaction
             if entry.op_type.is_write:
-                # A write additionally conflicts with all earlier reads.
-                for reader in reader_order[reader_mark.get(transaction, 0):]:
+                for reader in readers:
                     if reader != transaction:
                         yield reader, transaction
-                reader_mark[transaction] = len(reader_order)
-                if transaction not in writers_seen:
-                    writers_seen.add(transaction)
-                    writer_order.append(transaction)
+                last_writer = transaction
+                readers.clear()
             else:
-                if transaction not in readers_seen:
-                    readers_seen.add(transaction)
-                    reader_order.append(transaction)
+                readers[transaction] = None
 
 
 class ExecutionLog:

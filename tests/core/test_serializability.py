@@ -9,6 +9,8 @@ from repro.common.protocol_names import Protocol
 from repro.core.serializability import ConflictGraph, check_serializable
 from repro.storage.log import ExecutionLog
 
+from tests.properties.test_property_oracle_equivalence import reference_conflict_graph
+
 
 T1, T2, T3 = (TransactionId(0, i) for i in range(1, 4))
 X, Y = CopyId(0, 0), CopyId(1, 0)
@@ -84,6 +86,32 @@ class TestCycleDetection:
         report = check_serializable(log)
         assert not report.serializable
         assert set(report.cycle) == {T1, T2, T3}
+
+    def test_cycle_through_a_skipped_pair_is_made_of_real_conflicts(self):
+        log = ExecutionLog()
+        record(log, X, T1, "w", 1.0)
+        record(log, X, T2, "r", 2.0)
+        record(log, X, T2, "w", 3.0)
+        record(log, X, T3, "w", 4.0)     # T1 -> T3 at X only through T2
+        record(log, Y, T3, "w", 1.0)
+        record(log, Y, T1, "r", 2.0)     # T3 -> T1 at Y
+        reference = reference_conflict_graph(log)
+        assert reference.has_edge(T1, T3)
+        graph = ConflictGraph.from_execution_log(log)
+        assert not graph.has_edge(T1, T3)
+        assert len(graph) == 3 and graph.edge_count() == 3
+        report = check_serializable(log)
+        assert not report.serializable
+        assert report.serialization_order == []
+        assert report.transactions_checked == 3
+        assert report.conflict_edges == 3 < reference.edge_count()
+        # The all-pairs graph closes the cycle as T1 -> T3 -> T1; the reduced
+        # graph has to walk it through T2, over pairs that really conflict.
+        assert sorted(report.cycle) == [T1, T2, T3]
+        for index, node in enumerate(report.cycle):
+            successor = report.cycle[(index + 1) % len(report.cycle)]
+            assert graph.has_edge(node, successor)
+            assert reference.has_edge(node, successor)
 
     def test_empty_log_is_serializable(self):
         report = check_serializable(ExecutionLog())

@@ -10,13 +10,20 @@ a plain :class:`~repro.storage.log.ExecutionLog` audited by
 
 * the serializable/non-serializable **verdict** is identical;
 * ``transactions_checked`` is identical;
-* a reported **cycle** consists of real edges of the batch conflict graph;
-* the streaming **witness** is a valid topological order of the batch graph
-  over exactly the batch graph's nodes (the incremental witness is the
+* a reported **cycle** consists of real conflicting pairs (edges of the
+  all-pairs reference graph);
+* the streaming **witness** is a valid topological order of that reference
+  graph over exactly the batch graph's nodes (the incremental witness is the
   retirement order, a *different* valid order than the batch oracle's
   lexicographically-smallest one — so validity, not identity, is asserted);
-* ``conflict_edges`` never exceeds the batch count (the checker counts the
-  retirement-pruned graph, a documented lower bound).
+* ``conflict_edges`` never exceeds the all-pairs count (the checker counts
+  the retirement-pruned graph of conflicting pairs, a documented lower
+  bound), and the batch oracle's reduced graph never exceeds it either.
+
+The reference is the all-pairs scan kept in
+``test_property_oracle_equivalence``: the batch oracle itself checks a
+reduced graph with the same reachability, so its edge count says nothing
+about the streaming checker's.
 
 The same fuzzed streams double as the retirement-safety property: once a
 transaction retires it must never reappear in the live graph, gain an edge,
@@ -38,15 +45,13 @@ from repro.common.errors import SimulationError
 from repro.common.ids import CopyId, TransactionId
 from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
-from repro.core.serializability import (
-    ConflictGraph,
-    check_serializable,
-    committed_view,
-)
+from repro.core.serializability import check_serializable, committed_view
 from repro.core.streaming import IncrementalSerializabilityChecker
 from repro.storage.log import ExecutionLog
 from repro.system.runner import run_simulation
 from repro.workload.scenarios import all_scenarios
+
+from tests.properties.test_property_oracle_equivalence import reference_conflict_graph
 
 
 # --------------------------------------------------------------------------- #
@@ -146,11 +151,12 @@ def assert_reports_equivalent(log, committed, streaming_report):
     batch = check_serializable(log, committed_attempts=committed)
     assert streaming_report.serializable == batch.serializable
     assert streaming_report.transactions_checked == batch.transactions_checked
+    graph = reference_conflict_graph(committed_view(log, committed))
     # The checker counts the retirement-pruned graph (edges whose source
     # retired before the target's later operations never materialise) — a
-    # documented lower bound of the batch count, never an overcount.
-    assert streaming_report.conflict_edges <= batch.conflict_edges
-    graph = ConflictGraph.from_execution_log(committed_view(log, committed))
+    # documented lower bound of the all-pairs count, never an overcount.
+    assert streaming_report.conflict_edges <= graph.edge_count()
+    assert batch.conflict_edges <= graph.edge_count()
     if batch.serializable:
         witness = streaming_report.serialization_order
         assert sorted(witness) == sorted(graph.nodes())
@@ -199,8 +205,10 @@ class TestStreamedVerdictMatchesBatch:
         report = checker.finalize()
         assert report.serializable == batch.serializable
         assert report.transactions_checked == batch.transactions_checked
-        assert report.conflict_edges == batch.conflict_edges
-        graph = ConflictGraph.from_execution_log(log)
+        # Nothing retired, so the checker holds every conflicting pair.
+        graph = reference_conflict_graph(log)
+        assert report.conflict_edges == graph.edge_count()
+        assert batch.conflict_edges <= graph.edge_count()
         if batch.serializable:
             position = {
                 tid: index for index, tid in enumerate(report.serialization_order)
@@ -349,7 +357,17 @@ class TestBankedEdgeResolution:
 # --------------------------------------------------------------------------- #
 
 
-def _streaming_equals_batch(scenario):
+def _streaming_equals_batch(scenario, monkeypatch):
+    # RunResult does not expose the execution log, so the all-pairs count of
+    # the batch run is taken where the database hands its log to the oracle.
+    allpairs_edges = []
+
+    def counting_oracle(log, committed_attempts):
+        view = committed_view(log, committed_attempts)
+        allpairs_edges.append(reference_conflict_graph(view).edge_count())
+        return check_serializable(log, committed_attempts)
+
+    monkeypatch.setattr("repro.system.database.check_serializable", counting_oracle)
     batch = run_simulation(
         scenario.system.with_overrides(audit="batch"),
         scenario.workload,
@@ -371,10 +389,9 @@ def _streaming_equals_batch(scenario):
         streaming.serializability.transactions_checked
         == batch.serializability.transactions_checked
     )
-    assert (
-        streaming.serializability.conflict_edges
-        <= batch.serializability.conflict_edges
-    )
+    (allpairs_count,) = allpairs_edges  # the streaming run never calls the batch oracle
+    assert streaming.serializability.conflict_edges <= allpairs_count
+    assert batch.serializability.conflict_edges <= allpairs_count
     # Same transactions audited; the streaming witness is the retirement
     # order, a different-but-valid serialization (validity is proven by the
     # property tests above, set-equality pins the audited population here).
@@ -403,7 +420,7 @@ def _streaming_equals_batch(scenario):
 @pytest.mark.parametrize(
     "scenario", all_scenarios(), ids=lambda scenario: scenario.name
 )
-def test_every_registered_scenario_streams_identically(scenario):
+def test_every_registered_scenario_streams_identically(scenario, monkeypatch):
     """Both audit modes agree on every registered scenario, faults included.
 
     The crash scenarios exercise the committed-attempts filtering (dropped
@@ -411,12 +428,13 @@ def test_every_registered_scenario_streams_identically(scenario):
     withdraw); the two-phase scenarios exercise quiesce-before-commit
     orderings from the cooperative termination protocol.
     """
-    _streaming_equals_batch(scenario.configured(transactions=40))
+    _streaming_equals_batch(scenario.configured(transactions=40), monkeypatch)
 
 
-def test_dynamic_selection_streams_identically():
+def test_dynamic_selection_streams_identically(monkeypatch):
     """The STL selector's runs audit identically under both modes."""
     base = all_scenarios()[0].configured(transactions=40)
     _streaming_equals_batch(
-        dataclasses.replace(base, dynamic_selection=True, selection_mode="adaptive")
+        dataclasses.replace(base, dynamic_selection=True, selection_mode="adaptive"),
+        monkeypatch,
     )
