@@ -2,7 +2,7 @@ PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test check-docs api-docs check-api-docs bench bench-smoke bench-baseline bench-gate memory-gate \
-	bench-ledger ledger-selftest
+	bench-ledger ledger-selftest ledger-digests ledger-panel
 
 ## tier-1 verification gate
 test:
@@ -49,6 +49,19 @@ bench-ledger:
 ## the ledger's own self-tests (its gates, tracer bookkeeping, --compare)
 ledger-selftest:
 	$(PY) -m pytest benchmarks/ledger -q
+
+## machine-independent half of the ledger (~10 s): each simulator workload's
+## summary digest and exact counts must equal the newest BENCH_PR<N>.json
+ledger-digests:
+	$(PY) tools/check_ledger_digests.py
+
+## every child the benchmark driver could reach: seeds b*1000+k for b in BASES,
+## k < K, spawned as the driver spawns them; lists the ones that fail or hang, e.g.
+## `make ledger-panel W=drift-adaptive BASES=1-10 K=60`
+BASES ?= 1-10
+K ?= 60
+ledger-panel:
+	$(PY) tools/ledger_panel.py --workload $(W) --bases $(BASES) --count $(K)
 
 ## refresh BENCH_BASELINE.json (seed vs optimised A/B; exits non-zero on drift)
 bench-baseline:

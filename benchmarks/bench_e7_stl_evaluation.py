@@ -9,6 +9,7 @@ discretisation, and also times a full per-transaction selection decision.
 import pytest
 
 from benchmarks.conftest import save_table
+from repro.analysis.experiments import naive_stl_prime
 from repro.common.config import SystemConfig, WorkloadConfig
 from repro.common.ids import TransactionId
 from repro.common.transactions import TransactionSpec
@@ -43,7 +44,7 @@ def test_e7_stl_prime_naive_recursion(benchmark):
     # Same discretisation as the DP but evaluated by the exponential-time
     # recursion; 14 steps keep the naive variant tractable for timing.
     model = ThroughputLossModel(LOAD, time_steps=14)
-    naive = benchmark(model.naive_stl_prime, 10.0, 0.5)
+    naive, _calls = benchmark(naive_stl_prime, model, 10.0, 0.5)
     reference = model.stl_prime(10.0, 0.5)
     assert naive == pytest.approx(reference, rel=0.05)
 

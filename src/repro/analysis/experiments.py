@@ -19,6 +19,7 @@ interrupted sweep resumes losslessly and a warm re-run executes nothing
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -288,16 +289,41 @@ def semilock_ablation(
     return rows
 
 
-class _CountingThroughputLossModel(ThroughputLossModel):
-    """STL model that counts recursion steps for the E7 cost comparison."""
+def naive_stl_prime(
+    model: ThroughputLossModel, initial_loss: float, duration: float
+) -> Tuple[float, int]:
+    """``STL'`` by direct top-down recursion, no memoisation: ``(value, calls)``.
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)
-        self.naive_calls = 0
+    The exponential-cost evaluation E7 contrasts with the dynamic program of
+    :meth:`~repro.selection.stl.ThroughputLossModel.stl_prime`.  Both use the
+    model's time discretisation; the recursion does not cap the number of
+    loss levels, so the values agree up to that truncation and float noise.
+    """
+    lambda_a = model.load.system_throughput
+    if duration <= 0 or lambda_a <= 0:
+        return 0.0, 0
+    initial_loss = max(0.0, initial_loss)
+    if initial_loss >= lambda_a:
+        return lambda_a * duration, 0
+    dt = duration / model.time_steps
+    step_gain = model.loss_increment()
+    calls = 0
 
-    def _naive_recursion(self, loss: float, steps_left: int, dt: float) -> float:
-        self.naive_calls += 1
-        return super()._naive_recursion(loss, steps_left, dt)
+    def recurse(loss: float, steps_left: int) -> float:
+        nonlocal calls
+        calls += 1
+        if steps_left == 0:
+            return 0.0
+        loss = min(loss, lambda_a)
+        block_rate = model.blocking_rate(loss)
+        p_block = 1.0 - math.exp(-block_rate * dt) if block_rate > 0 else 0.0
+        escalated = 0.0
+        if p_block > 0.0:
+            escalated = recurse(min(loss + step_gain, lambda_a), steps_left - 1)
+        stayed = recurse(loss, steps_left - 1)
+        return loss * dt + p_block * escalated + (1.0 - p_block) * stayed
+
+    return recurse(initial_loss, model.time_steps), calls
 
 
 def stl_cost_experiment(
@@ -325,12 +351,12 @@ def stl_cost_experiment(
         )
     rows: List[Dict[str, object]] = []
     for steps in time_steps:
-        model = _CountingThroughputLossModel(load, time_steps=steps)
+        model = ThroughputLossModel(load, time_steps=steps)
         started = time.perf_counter()
         dp_value = model.stl_prime(initial_loss, duration)
         dp_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        naive_value = model.naive_stl_prime(initial_loss, duration)
+        naive_value, naive_calls = naive_stl_prime(model, initial_loss, duration)
         naive_seconds = time.perf_counter() - started
         agreement = abs(dp_value - naive_value) <= 1e-6 * max(1.0, abs(dp_value))
         rows.append(
@@ -339,8 +365,8 @@ def stl_cost_experiment(
                 "stl_prime_dp": dp_value,
                 "stl_prime_naive": naive_value,
                 "values_agree": agreement,
-                "dp_cells": steps * model.level_count(initial_loss),
-                "naive_calls": model.naive_calls,
+                "dp_cells": model.dp_cells(initial_loss),
+                "naive_calls": naive_calls,
                 "dp_seconds": dp_seconds,
                 "naive_seconds": naive_seconds,
             }

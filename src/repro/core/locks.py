@@ -112,6 +112,9 @@ class LockTable:
         self._copy = copy
         self._locks: Dict[RequestId, GrantedLock] = {}
         self._grant_counter = 0
+        # Downgraded locks still pre-scheduled: their finished holders wait
+        # for normality (see awaiting_normal).  Almost always empty.
+        self._awaiting_normal: Dict[RequestId, GrantedLock] = {}
 
     @property
     def copy(self) -> CopyId:
@@ -153,12 +156,34 @@ class LockTable:
 
     def release(self, request_id: RequestId) -> GrantedLock:
         """Remove a granted lock and return it."""
+        self._awaiting_normal.pop(request_id, None)
         try:
             return self._locks.pop(request_id)
         except KeyError:
             raise ProtocolError(
                 f"request {request_id} holds no lock on {self._copy} to release"
             ) from None
+
+    def downgrade(self, lock: GrantedLock) -> None:
+        """Convert ``lock`` to its semi-lock mode (RL -> SRL, WL -> SWL)."""
+        lock.downgrade()
+        if not lock.normal_grant_sent:
+            self._awaiting_normal[lock.request_id] = lock
+
+    def mark_normal(self, lock: GrantedLock) -> None:
+        """Every conflicting lock granted before ``lock`` has been released."""
+        lock.normal_grant_sent = True
+        lock.pre_scheduled = False
+        self._awaiting_normal.pop(lock.request_id, None)
+
+    def awaiting_normal(self) -> Tuple[GrantedLock, ...]:
+        """Downgraded locks that are still pre-scheduled, in downgrade order.
+
+        Each one is a wait the queue does not show: its holder has finished
+        but may release none of its locks until every conflicting lock
+        granted earlier here is released.
+        """
+        return tuple(self._awaiting_normal.values())
 
     def get(self, request_id: RequestId) -> Optional[GrantedLock]:
         """The granted lock with ``request_id``, or ``None``."""

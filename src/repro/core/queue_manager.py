@@ -281,7 +281,7 @@ class QueueManager:
         changed = False
         for lock in self._locks.locks_of(transaction):
             self._implement(lock, now)
-            lock.downgrade()
+            self._locks.downgrade(lock)
             changed = True
         if changed:
             self._try_grant(now)
@@ -315,7 +315,7 @@ class QueueManager:
                 )
                 self._implement(lock, now)
                 if defer:
-                    lock.downgrade()
+                    self._locks.downgrade(lock)
                     lock.release_on_normal = True
                     continue
                 self._locks.release(entry.request_id)
@@ -437,6 +437,9 @@ class QueueManager:
         queue (the ``HD(j)`` rule prevents it from being considered until
         those are granted).  Blocked PA entries wait only for their own
         issuer's timestamp agreement, so they contribute no outgoing edges.
+        A finished T/O transaction whose downgraded semi-lock is still
+        pre-scheduled waits, without any queue entry, for (c) every holder of
+        an earlier conflicting lock (Section 4.2 rule 4).
         """
         adjacency: Dict[int, set] = {}
         transaction_of: Dict[int, TransactionId] = {}
@@ -487,6 +490,20 @@ class QueueManager:
                 bucket.update(prior_keys)
                 bucket.discard(waiter_key)
             prior_keys.add(waiter_key)
+        # Normality waits: the holder releases nothing until these locks
+        # turn normal (DESIGN.md, "Normality waits in the wait-for graph").
+        for lock in self._locks.awaiting_normal():
+            waiter = lock.transaction
+            waiter_key = pack_transaction(waiter)
+            transaction_of[waiter_key] = waiter
+            bucket = adjacency.setdefault(waiter_key, set())
+            for earlier in self._locks.conflicting_locks(
+                lock.mode, excluding=waiter, granted_before=lock.grant_seq
+            ):
+                holder_key = pack_transaction(earlier.transaction)
+                transaction_of[holder_key] = earlier.transaction
+                adjacency.setdefault(holder_key, set())
+                bucket.add(holder_key)
 
     def blocked_transactions(self) -> Tuple[TransactionId, ...]:
         """Transactions with at least one ungranted, non-blocked entry here."""
@@ -587,8 +604,7 @@ class QueueManager:
             )
             if remaining:
                 continue
-            lock.normal_grant_sent = True
-            lock.pre_scheduled = False
+            self._locks.mark_normal(lock)
             entry = self._queue.find(lock.request_id)
             if entry is None:
                 continue

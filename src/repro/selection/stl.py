@@ -78,11 +78,17 @@ class ThroughputLossModel:
         self._load = load
         self._time_steps = time_steps
         self._max_levels = max_levels
+        self._grids: Dict[float, "tuple[list[float], list[float]]"] = {}
 
     @property
     def load(self) -> SystemLoadParameters:
         """The system-load parameters the model was built with."""
         return self._load
+
+    @property
+    def time_steps(self) -> int:
+        """Number of steps the remaining time is discretised into."""
+        return self._time_steps
 
     # ---------------------------------------------------------------- #
     # The STL' recursion
@@ -94,6 +100,10 @@ class ThroughputLossModel:
         Evaluated by a bottom-up dynamic program over (loss level, remaining
         time step); the loss rate is capped at the system throughput
         ``lambda_A`` (once everything is blocked, nothing more can be lost).
+        The value at level 0 after ``s`` more steps depends on levels
+        ``0..s`` only, so the row shrinks by one level per step
+        (:meth:`_row_widths`) unless the capped top level, which loops onto
+        itself, is still in it.
         """
         lambda_a = self._load.system_throughput
         if duration <= 0 or lambda_a <= 0:
@@ -101,91 +111,67 @@ class ThroughputLossModel:
         initial_loss = max(0.0, initial_loss)
         if initial_loss >= lambda_a:
             return lambda_a * duration
-
-        step_gain = self._loss_increment()
-        if step_gain <= 0:
+        if self.loss_increment() <= 0:
             return initial_loss * duration
 
-        levels = self._levels(initial_loss)
+        levels, block_rates = self._grid(initial_loss)
         dt = duration / self._time_steps
+        # Per level: loss accrued in one step, P(escalate), P(stay).
+        rows = []
+        for loss, block_rate in zip(levels, block_rates):
+            p_block = 1.0 - math.exp(-block_rate * dt) if block_rate > 0 else 0.0
+            rows.append((loss * dt, p_block, 1.0 - p_block))
         # current[i] holds STL'(levels[i], t) for the current horizon t.
         current = [0.0] * len(levels)
-        for _ in range(self._time_steps):
+        for width in self._row_widths(len(levels)):
             previous = current
-            current = [0.0] * len(levels)
-            for index, loss in enumerate(levels):
-                block_rate = self._blocking_rate(loss)
-                p_block = 1.0 - math.exp(-block_rate * dt) if block_rate > 0 else 0.0
-                next_index = min(index + 1, len(levels) - 1)
-                current[index] = (
-                    loss * dt
-                    + p_block * previous[next_index]
-                    + (1.0 - p_block) * previous[index]
-                )
+            escalated = previous[1:]
+            if width == len(previous):
+                escalated.append(previous[-1])
+            current = [
+                gain + p_block * up + p_stay * stay
+                for (gain, p_block, p_stay), up, stay in zip(rows, escalated, previous)
+            ]
         return current[0]
 
-    def _levels(self, initial_loss: float) -> "list[float]":
-        """Loss levels reachable from ``initial_loss``, capped at ``lambda_A``.
+    def _grid(self, initial_loss: float) -> "tuple[list[float], list[float]]":
+        """Loss levels reachable from ``initial_loss`` and their blocking rates.
 
-        Shared by :meth:`stl_prime` (the DP rows) and :meth:`level_count`
-        (the E7 work measure) so the reported cell count can never drift
-        from the actual DP size.
+        Levels step up by :meth:`loss_increment`, capped at ``lambda_A``; at
+        most ``time_steps + 1`` of them can influence level 0.  Memoised per
+        ``initial_loss``: the per-protocol formulas evaluate ``STL'`` from the
+        same ``Lambda_t`` over several durations.
         """
-        lambda_a = self._load.system_throughput
-        step_gain = self._loss_increment()
-        levels = [initial_loss]
-        while levels[-1] < lambda_a and len(levels) < self._max_levels:
-            levels.append(min(lambda_a, levels[-1] + step_gain))
-        return levels
-
-    def level_count(self, initial_loss: float) -> int:
-        """Number of loss levels the dynamic program tracks from ``initial_loss``.
-
-        The DP of :meth:`stl_prime` fills ``time_steps * level_count`` cells,
-        which is the deterministic work measure the E7 experiment contrasts
-        with the naive recursion's call count.
-        """
-        lambda_a = self._load.system_throughput
-        initial_loss = max(0.0, initial_loss)
-        if lambda_a <= 0 or initial_loss >= lambda_a:
-            return 1
-        if self._loss_increment() <= 0:
-            return 1
-        return len(self._levels(initial_loss))
-
-    def naive_stl_prime(self, initial_loss: float, duration: float) -> float:
-        """Direct top-down evaluation of the recursion (no memoisation).
-
-        Kept for the E7 benchmark, which contrasts the exponential cost of the
-        naive recursion with the dynamic program used by :meth:`stl_prime`.
-        Both use the same time discretisation, so their values agree up to
-        floating-point noise.
-        """
-        lambda_a = self._load.system_throughput
-        if duration <= 0 or lambda_a <= 0:
-            return 0.0
-        initial_loss = max(0.0, initial_loss)
-        if initial_loss >= lambda_a:
-            return lambda_a * duration
-        dt = duration / self._time_steps
-        return self._naive_recursion(initial_loss, self._time_steps, dt)
-
-    def _naive_recursion(self, loss: float, steps_left: int, dt: float) -> float:
-        lambda_a = self._load.system_throughput
-        if steps_left == 0:
-            return 0.0
-        loss = min(loss, lambda_a)
-        block_rate = self._blocking_rate(loss)
-        p_block = 1.0 - math.exp(-block_rate * dt) if block_rate > 0 else 0.0
-        escalated = 0.0
-        if p_block > 0.0:
-            escalated = self._naive_recursion(
-                min(loss + self._loss_increment(), lambda_a), steps_left - 1, dt
+        grid = self._grids.get(initial_loss)
+        if grid is None:
+            lambda_a = self._load.system_throughput
+            step_gain = self.loss_increment()
+            limit = min(self._max_levels, self._time_steps + 1)
+            levels = [initial_loss]
+            while levels[-1] < lambda_a and len(levels) < limit:
+                levels.append(min(lambda_a, levels[-1] + step_gain))
+            grid = self._grids[initial_loss] = (
+                levels,
+                [self.blocking_rate(loss) for loss in levels],
             )
-        stayed = self._naive_recursion(loss, steps_left - 1, dt)
-        return loss * dt + p_block * escalated + (1.0 - p_block) * stayed
+        return grid
 
-    def _blocking_rate(self, loss: float) -> float:
+    def _row_widths(self, level_count: int) -> "list[int]":
+        """Levels the DP fills at each time step, first step first."""
+        return [min(level_count, left) for left in range(self._time_steps, 0, -1)]
+
+    def dp_cells(self, initial_loss: float) -> int:
+        """Cells :meth:`stl_prime` fills from ``initial_loss`` (0 on its closed forms).
+
+        The deterministic work measure the E7 experiment contrasts with the
+        naive recursion's call count.
+        """
+        initial_loss = max(0.0, initial_loss)
+        if initial_loss >= self._load.system_throughput or self.loss_increment() <= 0:
+            return 0
+        return sum(self._row_widths(len(self._grid(initial_loss)[0])))
+
+    def blocking_rate(self, loss: float) -> float:
         """``lambda_block`` of the paper: rate at which new lock grants block their queue."""
         lambda_a = self._load.system_throughput
         if lambda_a <= 0 or loss >= lambda_a:
@@ -195,7 +181,7 @@ class ThroughputLossModel:
         probability = 1.0 - (1.0 - blocked_fraction) ** (k - 1.0)
         return (lambda_a - loss) * probability
 
-    def _loss_increment(self) -> float:
+    def loss_increment(self) -> float:
         """``lambda_new - lambda_loss``: the average extra loss of one more blocked queue."""
         load = self._load
         return load.write_throughput + (1.0 - load.read_fraction) * load.read_throughput

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.errors import SimulationError
 from repro.common.ids import SiteId, TransactionId
 from repro.common.protocol_names import Protocol
 from repro.core.deadlock import DeadlockDetector
@@ -110,7 +111,8 @@ class DeadlockDetectorActor(Actor):
             transaction_of = {}
             for manager in self._queue_managers:
                 manager.collect_wait_edges(adjacency, transaction_of)
-        if any(adjacency.values()):
+        blocked = any(adjacency.values())
+        if blocked:
             resolution = self._detector.resolve_packed(
                 adjacency, transaction_of, self._protocol_registry
             )
@@ -125,7 +127,27 @@ class DeadlockDetectorActor(Actor):
                         victim,
                     )
         if self._keep_running():
+            # The process backend's events live in its workers, not here.
+            if blocked and self._edge_source is None and not self._simulator.pending_events:
+                raise self._stalled(adjacency, transaction_of)
             self._simulator.schedule(self._period, self._scan, label="deadlock-scan")
+
+    def _stalled(
+        self, adjacency: Dict[int, set], transaction_of: Dict[int, TransactionId]
+    ) -> SimulationError:
+        """Blocked transactions, no victim, and nothing scheduled but the next scan.
+
+        No timer, fault or delivery is pending, so no lock can ever be
+        released: rescanning would spin until the event cap.
+        """
+        waiting = [str(transaction_of[key]) for key in sorted(adjacency) if adjacency[key]]
+        roots = [str(transaction_of[key]) for key in sorted(adjacency) if not adjacency[key]]
+        shown = ", ".join(waiting[:8]) + (", ..." if len(waiting) > 8 else "")
+        return SimulationError(
+            f"stalled at t={self._simulator.now:g}: {len(waiting)} blocked transactions "
+            f"({shown}) in no resolvable deadlock cycle and no event pending; "
+            f"holders that wait for nothing: {', '.join(roots) or 'none (phantom cycle)'}"
+        )
 
     def _lock_count_of(self, tid: TransactionId) -> int:
         if self._lock_count_source is not None:

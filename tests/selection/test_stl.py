@@ -3,12 +3,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.experiments import naive_stl_prime
 from repro.common.ids import TransactionId
 from repro.common.protocol_names import Protocol
 from repro.common.transactions import TransactionSpec
 from repro.selection.parameters import ProtocolCostParameters, SystemLoadParameters
 from repro.selection.stl import STLBreakdown, ThroughputLossModel
+
+from tests.properties.test_property_stl import loads
+from tests.selection.reference_stl import reference_stl_prime
 
 
 def load(system_throughput=100.0, read=2.0, write=1.0, read_fraction=0.7, k=4.0):
@@ -80,14 +86,106 @@ class TestSTLPrime:
     def test_naive_recursion_matches_dp_roughly(self):
         model = ThroughputLossModel(load(), time_steps=16)
         dp = model.stl_prime(3.0, 0.3)
-        naive = model.naive_stl_prime(3.0, 0.3)
+        naive, calls = naive_stl_prime(model, 3.0, 0.3)
         assert naive == pytest.approx(dp, rel=0.35)
+        assert calls > model.dp_cells(3.0)
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             ThroughputLossModel(load(), time_steps=0)
         with pytest.raises(ValueError):
             ThroughputLossModel(load(), max_levels=0)
+
+
+TIME_STEPS = (1, 2, 16, 32, 40)
+MAX_LEVELS = (1, 2, 8, 33, 64)
+
+
+class TestAgainstPerCellReference:
+    """The hoisted, triangular DP is bit-identical to the full-rectangle one."""
+
+    @given(
+        loads(),
+        st.floats(min_value=0.0, max_value=600.0),
+        st.floats(min_value=0.0, max_value=5.0),
+        st.sampled_from(TIME_STEPS),
+        st.sampled_from(MAX_LEVELS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_reference(self, load_, loss, duration, time_steps, max_levels):
+        model = ThroughputLossModel(load_, time_steps=time_steps, max_levels=max_levels)
+        expected = reference_stl_prime(
+            load_, loss, duration, time_steps=time_steps, max_levels=max_levels
+        )
+        assert model.stl_prime(loss, duration) == expected
+        # A second call runs on the memoised grid.
+        assert model.stl_prime(loss, duration) == expected
+
+    @pytest.mark.parametrize("time_steps", TIME_STEPS)
+    @pytest.mark.parametrize("max_levels", MAX_LEVELS)
+    @pytest.mark.parametrize(
+        "load_",
+        [
+            load(),                                           # 1.6 per level: never capped
+            load(system_throughput=12.0, read=5.0, write=3.0),  # capped at the third level
+        ],
+        ids=["open", "capped"],
+    )
+    def test_both_branches_equal_reference(self, load_, time_steps, max_levels):
+        model = ThroughputLossModel(load_, time_steps=time_steps, max_levels=max_levels)
+        for loss, duration in ((0.0, 0.7), (3.0, 0.3), (5.5, 2.0)):
+            assert model.stl_prime(loss, duration) == reference_stl_prime(
+                load_, loss, duration, time_steps=time_steps, max_levels=max_levels
+            )
+
+    def test_dp_cells_counts_the_triangle_and_the_capped_rectangle(self):
+        # Defaults: 33 of the 64 allowed levels can reach level 0 in 32 steps.
+        assert ThroughputLossModel(load()).dp_cells(3.0) == 32 * 33 // 2
+        # Levels 3, 7.5, 12 (capped, self-loop): widths 3 x 6, then 2, 1.
+        capped = ThroughputLossModel(
+            load(system_throughput=12.0, read=5.0, write=3.0), time_steps=8
+        )
+        assert capped.dp_cells(3.0) == 3 * 6 + 2 + 1
+        assert ThroughputLossModel(load(), max_levels=1).dp_cells(3.0) == 32
+
+    def test_closed_forms_equal_reference_and_fill_no_cells(self):
+        frozen = load(read=2.0, write=0.0, read_fraction=1.0)  # zero increment
+        for load_, loss, duration in (
+            (load(), 5.0, 0.0),
+            (load(), 5.0, -1.0),
+            (load(system_throughput=10.0), 50.0, 2.0),
+            (load(system_throughput=10.0), 10.0, 2.0),
+            (frozen, 3.0, 2.0),
+            (load(system_throughput=0.0), 3.0, 2.0),
+        ):
+            model = ThroughputLossModel(load_)
+            assert model.stl_prime(loss, duration) == reference_stl_prime(load_, loss, duration)
+        assert ThroughputLossModel(load(system_throughput=10.0)).dp_cells(50.0) == 0
+        assert ThroughputLossModel(frozen).dp_cells(3.0) == 0
+
+    def test_evaluate_equals_six_independent_reference_calls(self):
+        class ReferenceModel(ThroughputLossModel):
+            calls = 0
+
+            def stl_prime(self, initial_loss, duration):
+                self.calls += 1
+                return reference_stl_prime(self.load, initial_loss, duration)
+
+        arguments = (
+            spec(3, 2),
+            costs(Protocol.TWO_PHASE_LOCKING, lock_time=0.12, aborted=0.3, abort_p=0.2),
+            costs(Protocol.TIMESTAMP_ORDERING, lock_time=0.08, aborted=0.25, read_p=0.1, write_p=0.2),
+            costs(Protocol.PRECEDENCE_AGREEMENT, lock_time=0.1, aborted=0.15, read_p=0.05, write_p=0.1),
+        )
+        reference = ReferenceModel(load())
+        expected = reference.evaluate(*arguments)
+        assert reference.calls == 6
+        model = ThroughputLossModel(load())
+        assert model.evaluate(*arguments) == expected
+        # Same answers with every grid already memoised, and for another class.
+        assert model.evaluate(*arguments) == expected
+        other = (spec(1, 4),) + arguments[1:]
+        assert model.evaluate(*other) == reference.evaluate(*other)
 
 
 class TestTransactionLoss:
