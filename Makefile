@@ -34,7 +34,7 @@ bench-smoke:
 	$(PY) -m pytest benchmarks/bench_micro_hotpaths.py benchmarks/bench_store.py \
 		benchmarks/bench_e10_availability.py benchmarks/bench_e11_recovery.py \
 		benchmarks/bench_e12_sim_live.py \
-		benchmarks/bench_streaming_audit.py benchmarks/bench_parallel_engine.py \
+		benchmarks/bench_streaming_audit.py \
 		-q --benchmark-disable
 
 ## full pytest-benchmark run of the hot-path micros

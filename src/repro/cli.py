@@ -171,20 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the per-window time series of every replication to this file",
     )
-    scenario_parser.add_argument(
-        "--engine",
-        choices=list(SystemConfig.ENGINES),
-        default=None,
-        help="override the scenario's simulation engine (summaries are "
-        "byte-identical between serial and parallel)",
-    )
-    scenario_parser.add_argument(
-        "--engine-workers",
-        type=int,
-        default=None,
-        help="worker processes for the parallel engine (0: inline in one "
-        "process; requires --engine parallel, summaries stay byte-identical)",
-    )
     _add_jobs_argument(scenario_parser)
     _add_store_arguments(scenario_parser)
 
@@ -379,21 +365,6 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
         help="audit pipeline (batch: whole-log oracle at the end; streaming: "
         "incremental oracle with bounded resident state, same verdict)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=list(SystemConfig.ENGINES),
-        default="serial",
-        help="simulation engine (serial: single event list; parallel: "
-        "site-partitioned conservative windows, byte-identical summaries)",
-    )
-    parser.add_argument(
-        "--engine-workers",
-        type=int,
-        default=0,
-        help="worker processes for the parallel engine (0: run the "
-        "partitioned engine inline in one process; requires --engine "
-        "parallel; summaries stay byte-identical at any worker count)",
-    )
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
@@ -436,8 +407,6 @@ def _system_from_args(args: argparse.Namespace) -> SystemConfig:
         protocol_switch_threshold=args.switch_after,
         commit=CommitConfig(protocol=args.commit),
         audit=args.audit,
-        engine=args.engine,
-        engine_workers=args.engine_workers,
         seed=args.seed,
     )
 
@@ -618,10 +587,7 @@ def _command_scenario(args: argparse.Namespace) -> int:
         print("at least one replication is required", file=sys.stderr)
         return 2
     configured = scenario.configured(
-        transactions=args.transactions,
-        arrival_rate=args.arrival_rate,
-        engine=args.engine,
-        engine_workers=args.engine_workers,
+        transactions=args.transactions, arrival_rate=args.arrival_rate
     )
     store = _open_store(args)
     result = configured.run(

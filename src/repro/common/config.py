@@ -355,29 +355,6 @@ class SystemConfig:
         the metrics collector folds outcomes into per-window accumulators
         instead of retaining them — same verdicts, memory proportional to
         the live transaction window instead of the run length.
-    engine:
-        Simulation engine.  ``"serial"`` (the default) runs the classic
-        single event list.  ``"parallel"`` partitions the run by site into
-        logical processes advanced in conservative lookahead windows
-        (:mod:`repro.sim.parallel`); the lookahead is derived from
-        ``network.fixed_delay`` and the engine degrades to barrier windows
-        when it is zero.  Both engines produce byte-identical
-        ``RunResult.summary()`` values — the determinism contract in
-        docs/determinism.md — so the field selects an execution strategy,
-        never an outcome.
-    engine_workers:
-        Number of OS worker processes the parallel engine runs the per-site
-        logical processes in.  ``0`` (the default) keeps the partitions
-        interleaved inside the calling process; ``N >= 1`` forks ``N``
-        workers (clamped to the site count) that own contiguous site ranges
-        and exchange cross-site traffic through the conservative window
-        scheduler (:mod:`repro.sim.parallel.process`).  Requires
-        ``engine="parallel"``.  Like ``engine``, the field selects an
-        execution strategy, never an outcome: summaries stay byte-identical
-        to serial, and configurations that the process backend cannot split
-        (dynamic selection, zero lookahead, single site, platforms without
-        ``fork``) fall back to the inline engine, recorded in
-        ``engine_stats["process_fallback"]``.
     """
 
     num_sites: int = 4
@@ -395,33 +372,16 @@ class SystemConfig:
     commit: CommitConfig = field(default_factory=CommitConfig)
     faults: Optional[FaultConfig] = None
     audit: str = "batch"
-    engine: str = "serial"
-    engine_workers: int = 0
     seed: int = 0
 
     #: Valid values of ``audit``.
     AUDIT_MODES = ("batch", "streaming")
-
-    #: Valid values of ``engine``.
-    ENGINES = ("serial", "parallel")
 
     def __post_init__(self) -> None:
         if self.audit not in self.AUDIT_MODES:
             raise ConfigurationError(
                 f"unknown audit mode {self.audit!r}; "
                 f"choose one of {', '.join(self.AUDIT_MODES)}"
-            )
-        if self.engine not in self.ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; "
-                f"choose one of {', '.join(self.ENGINES)}"
-            )
-        if self.engine_workers < 0:
-            raise ConfigurationError("engine_workers must be non-negative")
-        if self.engine_workers and self.engine != "parallel":
-            raise ConfigurationError(
-                "engine_workers requires engine='parallel' "
-                f"(got engine={self.engine!r})"
             )
         if self.num_sites < 1:
             raise ConfigurationError("at least one site is required")

@@ -57,7 +57,11 @@ class Transport(abc.ABC):
         label: str = "",
         site: Optional[int] = None,
     ) -> Any:
-        """Arm a timer firing ``callback`` after ``delay`` time units."""
+        """Arm a timer firing ``callback`` after ``delay`` time units.
+
+        ``site`` names the site whose state the timer touches; actors pass
+        it, and implementations are free to ignore it.
+        """
 
     @abc.abstractmethod
     def register(self, actor: Actor) -> None:
@@ -119,8 +123,8 @@ class SimTransport(Transport):
         label: str = "",
         site: Optional[int] = None,
     ) -> Any:
-        """Delegate to :meth:`repro.sim.simulator.Simulator.schedule`."""
-        return self._simulator.schedule(delay, callback, label=label, site=site)
+        """Delegate to :meth:`repro.sim.simulator.Simulator.schedule` (``site`` is unused)."""
+        return self._simulator.schedule(delay, callback, label=label)
 
     def register(self, actor: Actor) -> None:
         """Delegate to :meth:`repro.sim.network.Network.register`."""

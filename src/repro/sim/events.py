@@ -62,18 +62,11 @@ class Event:
 
 
 class EventQueue:
-    """Binary-heap event list with lazy cancellation and O(1) length.
+    """Binary-heap event list with lazy cancellation and O(1) length."""
 
-    ``counter`` optionally supplies the sequence source for the ``seq``
-    tie-break.  Passing the *same* counter to several queues gives their
-    events one global scheduling order — the partitioned engine relies on
-    this so per-site queues break same-instant ties exactly like the single
-    serial queue would.
-    """
-
-    def __init__(self, counter: Optional["itertools.count"] = None) -> None:
+    def __init__(self) -> None:
         self._heap: List[Tuple[float, int, int, Event]] = []
-        self._counter = counter if counter is not None else itertools.count()
+        self._counter = itertools.count()
         self._live = 0        # non-cancelled events still in the heap
         self._cancelled = 0   # cancelled events awaiting reclamation
 
@@ -114,22 +107,12 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or ``None`` when the queue is empty."""
-        event = self.peek()
-        return None if event is None else event.time
-
-    def peek(self) -> Optional[Event]:
-        """The next non-cancelled event without removing it (``None`` if empty).
-
-        Shares :meth:`peek_time`'s head-purging behaviour; the partitioned
-        engine uses it to compare the heads of several queues by the full
-        ``(time, priority, seq)`` order, not just their times.
-        """
         while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
             self._cancelled -= 1
         if not self._heap:
             return None
-        return self._heap[0][3]
+        return self._heap[0][0]
 
     def clear(self) -> None:
         """Drop every pending event."""

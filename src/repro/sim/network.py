@@ -187,7 +187,6 @@ class Network:
             delay,
             partial(receiver.handle, message),
             label=f"{kind}:{sender.name}->{receiver_name}",
-            site=receiver.site,
         )
         return message
 

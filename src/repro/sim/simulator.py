@@ -48,19 +48,11 @@ class Simulator:
         callback: Callable[[], None],
         priority: int = 0,
         label: str = "",
-        site: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` to run ``delay`` time units from now.
-
-        ``site`` attributes the event to the site whose state it touches.
-        The serial engine ignores it; the partitioned engine
-        (:class:`repro.sim.parallel.engine.PartitionedSimulator`) routes the
-        event to that site's logical process (``None`` = the global control
-        process).
-        """
+        """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} time units in the past")
-        return self._push(self._now + delay, callback, priority, label, site)
+        return self._queue.push(self._now + delay, callback, priority=priority, label=label)
 
     def schedule_at(
         self,
@@ -68,28 +60,12 @@ class Simulator:
         callback: Callable[[], None],
         priority: int = 0,
         label: str = "",
-        site: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` to run at absolute simulated time ``time``.
-
-        ``site`` attributes the event to a site exactly as in
-        :meth:`schedule`.
-        """
+        """Schedule ``callback`` to run at absolute simulated time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event at {time}, which is before the current time {self._now}"
             )
-        return self._push(time, callback, priority, label, site)
-
-    def _push(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int,
-        label: str,
-        site: Optional[int],
-    ) -> Event:
-        """Insert one event; the partitioned engine overrides the routing."""
         return self._queue.push(time, callback, priority=priority, label=label)
 
     def add_trace_hook(self, hook: TraceHook) -> None:
@@ -100,20 +76,12 @@ class Simulator:
         """Request the run loop to stop after the current event."""
         self._stopped = True
 
-    def _next_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` when nothing is pending."""
-        return self._queue.peek_time()
-
-    def _pop_next(self) -> Event:
-        """Remove and return the next event (engines override the selection)."""
-        return self._queue.pop()
-
     def step(self) -> bool:
         """Fire the single next event.  Returns ``False`` when no events remain."""
-        next_time = self._next_time()
+        next_time = self._queue.peek_time()
         if next_time is None:
             return False
-        event = self._pop_next()
+        event = self._queue.pop()
         self._now = event.time
         self._events_processed += 1
         for hook in self._trace_hooks:
@@ -133,7 +101,7 @@ class Simulator:
         fired = 0
         try:
             while not self._stopped:
-                next_time = self._next_time()
+                next_time = self._queue.peek_time()
                 if next_time is None:
                     break
                 if until is not None and next_time > until:

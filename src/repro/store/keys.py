@@ -49,11 +49,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: checks re-run a configuration under both engines and byte-diff the
 #: results, which would be vacuous if the store served one engine's cached
 #: summary to the other.
-#: v7: ``SystemConfig`` grew the ``engine_workers`` field (inline vs
-#: process backend of the parallel engine).  The backends are byte-identical
-#: by contract, but — as with ``engine`` in v6 — the field joins the digest
-#: so backend-identity checks are never served from a shared cache row.
-KEY_SCHEMA = 7
+#: v7: ``SystemConfig`` grew the parallel engine's worker-count field
+#: (inline vs process backend), joining the digest for the same reason.
+#: v8: the parallel engine was deleted and both of its fields left
+#: ``SystemConfig``.  Serial summaries are unchanged, but the canonical
+#: config encoding lost two fields, so every digest moves and v7 stores miss
+#: cleanly.
+KEY_SCHEMA = 8
 
 
 def canonical_value(value: object) -> object:

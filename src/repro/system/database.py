@@ -84,14 +84,6 @@ class RunResult:
     #: transaction id.  The live-mode differential harness compares this
     #: against a live run's committed set; excluded from :meth:`summary`.
     committed_attempts: Dict[TransactionId, int] = field(default_factory=dict)
-    #: Simulation engine the run used (``serial`` or ``parallel``).  Kept out
-    #: of :meth:`summary` deliberately: the determinism contract requires the
-    #: two engines' summaries to be byte-identical.
-    engine: str = "serial"
-    #: Partitioning/synchronisation statistics of a parallel-engine run
-    #: (windows, events per LP, mean active LPs); empty for serial runs and,
-    #: like ``engine``, excluded from :meth:`summary`.
-    engine_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
     def serializable(self) -> bool:
@@ -222,74 +214,23 @@ class DistributedDatabase:
         value_store: Optional[ValueStore] = None,
     ) -> None:
         self._system = system
-        if system.engine == "parallel":
-            # Imported lazily so the serial engine never pays for (or depends
-            # on) the parallel subsystem.
-            from repro.sim.parallel.engine import PartitionedSimulator
-            from repro.sim.parallel.lookahead import derive_lookahead
-
-            self._simulator = PartitionedSimulator(
-                num_sites=system.num_sites,
-                lookahead=derive_lookahead(system),
-            )
-        else:
-            self._simulator = Simulator()
-        # Multi-process execution (engine_workers > 0): when the
-        # configuration is eligible, the shared side-effect sinks built
-        # below are the Recording* instruments of
-        # repro.sim.parallel.instruments — exact pass-throughs until a
-        # worker activates the capture bus, so inline runs stay
-        # byte-identical.  Ineligible configurations fall back to the
-        # inline engine and say why in engine_stats["process_fallback"].
-        self._process_fallback: Optional[str] = None
-        self._capture_bus = None
-        self._engine_override = None
-        if system.engine == "parallel" and system.engine_workers > 0:
-            from repro.sim.parallel.instruments import CaptureBus
-            from repro.sim.parallel.process import backend_unavailable_reason
-
-            self._process_fallback = backend_unavailable_reason(
-                system,
-                choose_protocol=choose_protocol,
-                external_store=value_store is not None,
-            )
-            if self._process_fallback is None:
-                self._capture_bus = CaptureBus()
+        self._simulator = Simulator()
         self._rng = RandomStreams(system.seed)
         self._faults: Optional[FaultInjector] = None
         if system.faults is not None:
             self._faults = FaultInjector(
                 self._simulator, system.faults, system.num_sites, self._rng
             )
-        if self._capture_bus is not None:
-            from repro.sim.parallel.instruments import ProcessNetwork
-
-            self._network = ProcessNetwork(
-                self._simulator, system.network, self._rng, faults=self._faults
-            )
-            self._network._capture_bus = self._capture_bus
-        else:
-            self._network = Network(
-                self._simulator, system.network, self._rng, faults=self._faults
-            )
+        self._network = Network(
+            self._simulator, system.network, self._rng, faults=self._faults
+        )
         # The transport seam: under the simulator it is pure delegation to
         # the network and simulator above, so actor behaviour is
         # byte-identical to pre-seam code; live mode swaps in a TcpTransport.
         self._transport = SimTransport(self._simulator, self._network)
         self._catalog = ReplicaCatalog.from_config(system)
         streaming = system.audit == "streaming"
-        if self._capture_bus is not None:
-            from repro.sim.parallel.instruments import (
-                RecordingExecutionLog,
-                RecordingMetrics,
-                RecordingRegistry,
-                RecordingValueStore,
-            )
-
-            self._execution_log = RecordingExecutionLog(bounded=streaming)
-            self._execution_log._capture_bus = self._capture_bus
-        else:
-            self._execution_log = ExecutionLog(bounded=streaming)
+        self._execution_log = ExecutionLog(bounded=streaming)
         self._audit_checker: Optional[IncrementalSerializabilityChecker] = None
         if streaming:
             # The checker observes every recorded/withdrawn entry and, once a
@@ -299,27 +240,15 @@ class DistributedDatabase:
                 on_retire=self._execution_log.retire_transaction
             )
             self._execution_log.attach_observer(self._audit_checker)
-        if value_store is not None:
-            self._value_store = value_store
-        elif self._capture_bus is not None:
-            self._value_store = RecordingValueStore()
-            self._value_store._capture_bus = self._capture_bus
-        else:
-            self._value_store = ValueStore()
+        self._value_store = value_store if value_store is not None else ValueStore()
         self._replica_auditor: Optional[StreamingReplicaAuditor] = None
         if streaming:
             self._replica_auditor = StreamingReplicaAuditor(
                 self._value_store.default_value
             )
             self._value_store.attach_write_observer(self._replica_auditor)
-        if self._capture_bus is not None:
-            self._metrics = RecordingMetrics(streaming=streaming)
-            self._metrics._capture_bus = self._capture_bus
-            self._protocol_registry: Dict[TransactionId, Protocol] = RecordingRegistry()
-            self._protocol_registry._capture_bus = self._capture_bus
-        else:
-            self._metrics = MetricsCollector(streaming=streaming)
-            self._protocol_registry = {}
+        self._metrics = MetricsCollector(streaming=streaming)
+        self._protocol_registry: Dict[TransactionId, Protocol] = {}
         self._pending_arrivals = 0
         self._submitted = 0
         self._workload_config: Optional[WorkloadConfig] = None
@@ -366,13 +295,6 @@ class DistributedDatabase:
             for participant in self._participants.values():
                 self._faults.add_recovery_listener(participant.on_site_event)
 
-        audit_stream = self._audit_checker
-        if self._capture_bus is not None and self._audit_checker is not None:
-            from repro.sim.parallel.instruments import AuditStreamTap
-
-            audit_stream = AuditStreamTap(self._audit_checker)
-            audit_stream._capture_bus = self._capture_bus
-
         self._issuers: Dict[SiteId, RequestIssuerActor] = {}
         for site in range(system.num_sites):
             issuer = RequestIssuerActor(
@@ -391,7 +313,7 @@ class DistributedDatabase:
                 commit_config=system.commit,
                 commit_log=self._commit_logs[site],
                 faults=self._faults,
-                audit_stream=audit_stream,
+                audit_stream=self._audit_checker,
             )
             self._network.register(issuer)
             self._issuers[site] = issuer
@@ -525,7 +447,6 @@ class DistributedDatabase:
             max(spec.arrival_time, self._simulator.now),
             lambda spec=spec: self._arrive(spec),
             label=f"arrival-{spec.tid}",
-            site=spec.origin_site,
         )
 
     def _arrive(self, spec: TransactionSpec) -> None:
@@ -541,7 +462,6 @@ class DistributedDatabase:
                 recovery,
                 lambda spec=spec: self._arrive(spec),
                 label=f"arrival-deferred-{spec.tid}",
-                site=spec.origin_site,
             )
             return
         self._pending_arrivals -= 1
@@ -567,25 +487,13 @@ class DistributedDatabase:
         self._detector.start()
         if self._system.commit.checkpoint_interval is not None:
             self._schedule_checkpoint()
-        use_process = self._capture_bus is not None
-        if use_process and self._simulator._trace_hooks:
-            # Trace hooks observe every event in this process; a distributed
-            # execution cannot honour them, so fall back (and say so).
-            self._process_fallback = "trace-hooks"
-            use_process = False
-        if use_process:
-            from repro.sim.parallel.process import ProcessEngineRunner
-
-            runner = ProcessEngineRunner(self, workers=self._system.engine_workers)
-            end_time = runner.run(until=max_time, max_events=max_events)
-        else:
-            end_time = self._simulator.run(until=max_time, max_events=max_events)
-            if self._simulator.pending_events and max_time is None:
-                if self._simulator.events_processed >= max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events with "
-                        f"{self.remaining_work()} transactions still outstanding"
-                    )
+        end_time = self._simulator.run(until=max_time, max_events=max_events)
+        if self._simulator.pending_events and max_time is None:
+            if self._simulator.events_processed >= max_events:
+                raise SimulationError(
+                    f"simulation exceeded {max_events} events with "
+                    f"{self.remaining_work()} transactions still outstanding"
+                )
         return self._build_result(end_time)
 
     def _schedule_checkpoint(self) -> None:
@@ -608,16 +516,9 @@ class DistributedDatabase:
             self._schedule_checkpoint()
 
     def _build_result(self, end_time: float) -> RunResult:
-        # A multi-process run's issuers and commit logs advanced in the
-        # worker processes: consume the gathered artifacts instead of this
-        # process's stale pre-fork replicas.
-        override = self._engine_override
         committed_attempts: Dict[TransactionId, int] = {}
-        if override is not None:
-            committed_attempts.update(override.committed_attempts)
-        else:
-            for issuer in self._issuers.values():
-                committed_attempts.update(issuer.committed_attempts())
+        for issuer in self._issuers.values():
+            committed_attempts.update(issuer.committed_attempts())
         audit_stats: Dict[str, int] = {}
         if self._audit_checker is not None:
             report = self._audit_checker.finalize(committed_attempts)
@@ -641,60 +542,20 @@ class DistributedDatabase:
             detector_scans=self._detector.scans,
             deadlocks_found=self._detector.deadlocks_found,
             deadlock_victims=self._detector.victims,
-            protocol_switches=(
-                override.protocol_switches
-                if override is not None
-                else sum(issuer.protocol_switches for issuer in self._issuers.values())
-            ),
+            protocol_switches=sum(issuer.protocol_switches for issuer in self._issuers.values()),
             protocol_of=dict(self._protocol_registry),
             commit_protocol=self._system.commit.protocol,
             committed_attempts=committed_attempts,
             replica_report=replica_report,
             audit=self._system.audit,
             audit_stats=audit_stats,
-            engine=self._system.engine,
-            engine_stats=self._engine_stats(override),
             crashes=self._faults.crash_count if self._faults is not None else 0,
             messages_dropped=self._network.messages_dropped,
             coordinator_crashes=(
                 self._faults.coordinator_crash_count if self._faults is not None else 0
             ),
-            forced_log_writes=(
-                override.forced_log_writes
-                if override is not None
-                else sum(log.forced_writes for log in self._commit_logs.values())
-            ),
-            lazy_log_writes=(
-                override.lazy_log_writes
-                if override is not None
-                else sum(log.lazy_writes for log in self._commit_logs.values())
-            ),
-            log_records_truncated=(
-                override.log_records_truncated
-                if override is not None
-                else sum(log.records_truncated for log in self._commit_logs.values())
-            ),
-            peak_log_records=(
-                override.peak_log_records
-                if override is not None
-                else max(log.peak_records for log in self._commit_logs.values())
-            ),
+            forced_log_writes=sum(log.forced_writes for log in self._commit_logs.values()),
+            lazy_log_writes=sum(log.lazy_writes for log in self._commit_logs.values()),
+            log_records_truncated=sum(log.records_truncated for log in self._commit_logs.values()),
+            peak_log_records=max(log.peak_records for log in self._commit_logs.values()),
         )
-
-    def _engine_stats(self, override) -> Dict[str, object]:
-        """Engine statistics of the run: worker-gathered, annotated, or inline."""
-        if override is not None:
-            return override.engine_stats
-        stats = (
-            self._simulator.engine_stats()
-            if hasattr(self._simulator, "engine_stats")
-            else {}
-        )
-        if self._system.engine_workers > 0 and self._process_fallback is not None:
-            # The run asked for the process backend but fell back to the
-            # inline engine: record the degradation so it is observable.
-            stats = dict(stats)
-            stats["backend"] = "inline"
-            stats["process_fallback"] = self._process_fallback
-            stats["requested_workers"] = self._system.engine_workers
-        return stats

@@ -55,14 +55,6 @@ class DeadlockDetectorActor(Actor):
         self._scans = 0
         self._deadlocks_found = 0
         self._victims: List[TransactionId] = []
-        # Process-backend seams (see repro.sim.parallel.process): when the
-        # queue managers and issuers live in worker processes, the runner
-        # installs gather callbacks so a scan reads the *workers'* wait
-        # edges and lock counts instead of this process's stale replicas.
-        self._edge_source: Optional[
-            Callable[[], Tuple[Dict[int, set], Dict[int, TransactionId]]]
-        ] = None
-        self._lock_count_source: Optional[Callable[[TransactionId], int]] = None
 
     # ---------------------------------------------------------------- #
     # Introspection
@@ -104,13 +96,10 @@ class DeadlockDetectorActor(Actor):
         # Queue managers write their wait edges straight into one shared
         # packed-key adjacency (see QueueManager.collect_wait_edges) instead
         # of materialising per-edge tuples for the detector to re-ingest.
-        if self._edge_source is not None:
-            adjacency, transaction_of = self._edge_source()
-        else:
-            adjacency = {}
-            transaction_of = {}
-            for manager in self._queue_managers:
-                manager.collect_wait_edges(adjacency, transaction_of)
+        adjacency: Dict[int, set] = {}
+        transaction_of: Dict[int, TransactionId] = {}
+        for manager in self._queue_managers:
+            manager.collect_wait_edges(adjacency, transaction_of)
         blocked = any(adjacency.values())
         if blocked:
             resolution = self._detector.resolve_packed(
@@ -127,8 +116,7 @@ class DeadlockDetectorActor(Actor):
                         victim,
                     )
         if self._keep_running():
-            # The process backend's events live in its workers, not here.
-            if blocked and self._edge_source is None and not self._simulator.pending_events:
+            if blocked and not self._simulator.pending_events:
                 raise self._stalled(adjacency, transaction_of)
             self._simulator.schedule(self._period, self._scan, label="deadlock-scan")
 
@@ -150,28 +138,7 @@ class DeadlockDetectorActor(Actor):
         )
 
     def _lock_count_of(self, tid: TransactionId) -> int:
-        if self._lock_count_source is not None:
-            return self._lock_count_source(tid)
         issuer = self._issuers.get(tid.site)
         if issuer is None:
             return 0
         return issuer.granted_lock_count(tid)
-
-    def install_process_seams(
-        self,
-        edge_source: Callable[[], Tuple[Dict[int, set], Dict[int, TransactionId]]],
-        lock_count_source: Callable[[TransactionId], int],
-        keep_running: Callable[[], bool],
-    ) -> None:
-        """Redirect scans at worker-held state (process backend only).
-
-        ``edge_source`` must return the merged packed wait-for adjacency and
-        node map exactly as :meth:`QueueManager.collect_wait_edges` builds
-        them, ``lock_count_source`` replaces the local issuer lookup of
-        :meth:`_lock_count_of`, and ``keep_running`` replaces the
-        remaining-work predicate that decides whether the scan chain
-        reschedules itself.
-        """
-        self._edge_source = edge_source
-        self._lock_count_source = lock_count_source
-        self._keep_running = keep_running

@@ -73,28 +73,16 @@ class Scenario:
         *,
         transactions: Optional[int] = None,
         arrival_rate: Optional[float] = None,
-        engine: Optional[str] = None,
-        engine_workers: Optional[int] = None,
     ) -> "Scenario":
-        """A copy with the common size/load/engine overrides applied."""
+        """A copy with the common size/load overrides applied."""
         overrides: Dict[str, object] = {}
         if transactions is not None:
             overrides["num_transactions"] = transactions
         if arrival_rate is not None:
             overrides["arrival_rate"] = arrival_rate
-        scenario = self
-        if overrides:
-            scenario = replace(scenario, workload=scenario.workload.with_overrides(**overrides))
-        system_overrides: Dict[str, object] = {}
-        if engine is not None:
-            system_overrides["engine"] = engine
-        if engine_workers is not None:
-            system_overrides["engine_workers"] = engine_workers
-        if system_overrides:
-            scenario = replace(
-                scenario, system=scenario.system.with_overrides(**system_overrides)
-            )
-        return scenario
+        if not overrides:
+            return self
+        return replace(self, workload=self.workload.with_overrides(**overrides))
 
     def run(
         self,

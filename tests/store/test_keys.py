@@ -55,7 +55,7 @@ class TestTaskKey:
             {"num_items": 17},
             {"restart_delay": 0.5},
             {"protocol_switch_threshold": 2},
-            {"engine": "parallel", "engine_workers": 2},
+            {"audit": "streaming"},
         ],
     )
     def test_system_changes_change_the_key(self, base_task, override):
@@ -136,8 +136,8 @@ class TestAdaptiveDriftKeys:
     #: Golden digest of ``_adaptive_drift_task()``.  If this assertion ever
     #: fails, the canonical task encoding changed: bump ``KEY_SCHEMA`` so
     #: stale stores invalidate themselves, then re-pin.  (Re-pinned for
-    #: KEY_SCHEMA v7: the ``engine_workers`` field joined ``SystemConfig``.)
-    GOLDEN_KEY = "bdd72e9e6d7c1b2c76d6a52f6583ccfd1b4ceeaef021e17c11315b3a98bf6ce5"
+    #: KEY_SCHEMA v8: the parallel engine's two fields left ``SystemConfig``.)
+    GOLDEN_KEY = "43ff547d542f8f205fde6b6c127e49fc7b30791e0880fa1b8dc93cf9d046650a"
 
     def test_adaptive_drift_key_is_stable_across_processes(self):
         assert task_key(_adaptive_drift_task()) == self.GOLDEN_KEY
@@ -212,23 +212,28 @@ class TestAdaptiveDriftKeys:
 class TestCommitFaultKeys:
     """Key-schema v4: the commit layer and fault model are part of every digest."""
 
-    #: Golden v7 digest of the module fixture's ``base_task`` (all-default
-    #: commit/fault/audit/engine configuration).  Byte-stability of the new
+    #: Golden v8 digest of the module fixture's ``base_task`` (all-default
+    #: commit/fault/audit configuration).  Byte-stability of the new
     #: defaults: if this ever fails, the canonical encoding moved again —
     #: bump ``KEY_SCHEMA`` and re-pin.
-    GOLDEN_DEFAULT_KEY = "72728a73fedbcf77ff30dee85a0a191bd99a9c139cb32b815a5b868a48352840"
+    GOLDEN_DEFAULT_KEY = "b3d372eff237c45a14a94cc202bb682faa3166a6b7680f0b3764043fa20f9bf6"
 
     #: A KEY_SCHEMA v2 digest (the adaptive-drift golden this file pinned
     #: before the v3 schema bump).  Kept to prove that rows addressed by
     #: old-era keys stay inert under v4 lookups.
     V2_ERA_KEY = "06a8cfeac052da4dc0e4fc617039b75ad3b20c829d5429acca0a84dfc22ffd03"
 
+    #: The KEY_SCHEMA v7 digest of ``base_task`` (its payload still carried
+    #: the parallel engine's two fields).  Kept to prove v7 rows stay inert
+    #: under v8 lookups.
+    V7_ERA_KEY = "72728a73fedbcf77ff30dee85a0a191bd99a9c139cb32b815a5b868a48352840"
+
     def test_default_commit_fault_config_is_byte_stable(self, base_task):
         assert task_key(base_task) == self.GOLDEN_DEFAULT_KEY
 
     def test_default_payload_names_commit_and_faults(self, base_task):
         payload = task_payload(base_task)
-        assert payload["schema"] == 7
+        assert payload["schema"] == 8
         assert payload["system"]["commit"] == {
             "protocol": "one-phase",
             "prepare_timeout": 1.0,
@@ -306,6 +311,14 @@ class TestCommitFaultKeys:
         assert task_key(base_task) != self.V2_ERA_KEY
         assert store.lookup(task_key(base_task)) is None
         assert store.lookup(self.V2_ERA_KEY) is not None
+
+    def test_warm_resume_on_a_v7_store_misses_cleanly(self, base_task, tmp_path):
+        """A store written under the v7 schema serves nothing to v8 lookups."""
+        store = ResultStore(tmp_path / "runs.jsonl")
+        store.put(self.V7_ERA_KEY, {"schema": 7}, {"committed": 10})
+        assert task_key(base_task) != self.V7_ERA_KEY
+        assert store.lookup(task_key(base_task)) is None
+        assert store.lookup(self.V7_ERA_KEY) is not None
 
     def test_fault_payload_round_trips_through_json(self, base_task):
         import json

@@ -246,21 +246,6 @@ class TestScenarioCommand:
         assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial_out
 
-    def test_scenario_engine_output_byte_identical(self, capsys):
-        argv = ["scenario", "site-skewed", "--transactions", "30", "--replications", "2"]
-        assert main(argv + ["--engine", "serial"]) == 0
-        serial_out = capsys.readouterr().out
-        assert main(argv + ["--engine", "parallel"]) == 0
-        assert capsys.readouterr().out == serial_out
-
-    def test_scenario_engine_default_is_the_scenario_config(self):
-        args = build_parser().parse_args(["scenario", "zipf-hotspot"])
-        assert args.engine is None
-
-    def test_scenario_engine_rejects_unknown_values(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["scenario", "zipf-hotspot", "--engine", "warp"])
-
     def test_scenario_windows_file(self, tmp_path, capsys):
         path = tmp_path / "windows.txt"
         argv = [

@@ -1,34 +1,35 @@
-"""Serial/parallel engine identity: the determinism contract, end to end.
+"""The event engine's identity contract, end to end.
 
-``engine="parallel"`` must be *invisible* in every result: the partitioned
-engine merges its per-site queues in the global ``(time, priority, seq)``
-order, so a parallel run is the same simulation as a serial run, byte for
-byte (docs/determinism.md).  This module pins that contract at full system
-scale:
+There is one simulation engine, the serial event loop, and every number it
+prints is a pure function of configuration plus seed (docs/determinism.md).
+This module pins that contract at full system scale:
 
-* every registered scenario — faults, crashes, delay spikes, two-phase
-  commit, streaming audit — summarises identically under both engines;
-* the parallel engine reproduces the pre-refactor golden digests of
-  ``tests/commit/golden_one_phase.json`` exactly;
-* the replication drivers stay byte-identical across ``--jobs`` and warm
-  result-store resumes when the tasks run parallel;
-* the ``engine`` field keys separately in the result store, so the identity
-  above is checked, never assumed via a shared cache row.
+* ``golden_scenarios.json`` pins the SHA-256 of the *whole*
+  :func:`~repro.analysis.replications.summarize_run` dict — commits,
+  restarts, messages, drops, commit times, windowed series, per-protocol
+  statistics — for each registered scenario at 40 transactions, plus four
+  edge systems: a single site, a zero fixed network delay, a delay spike,
+  and the streaming audit;
+* the parallel replication engine reproduces the pre-refactor golden
+  digests of ``tests/commit/golden_one_phase.json`` exactly;
+* the replication driver stays byte-identical across ``--jobs`` and warm
+  result-store resumes, and a failing worker surfaces its own error.
+
+A change that must not alter behaviour reproduces every digest; a change
+that does re-pins them on purpose and says why::
+
+    PYTHONPATH=src python tests/system/test_engine_identity.py --write
 """
 
 import dataclasses
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
-from repro.analysis.replications import (
-    SimulationTask,
-    execute_task,
-    run_tasks,
-    summarize_run,
-)
+from repro.analysis.replications import SimulationTask, execute_task, run_tasks
 from repro.common.config import (
     DelaySpike,
     FaultConfig,
@@ -36,132 +37,161 @@ from repro.common.config import (
     SystemConfig,
     WorkloadConfig,
 )
-from repro.store import ResultStore, task_key
-from repro.system.database import DistributedDatabase
-from repro.system.runner import run_simulation
-from repro.workload.scenarios import all_scenarios
+from repro.sim.network import Network
+from repro.store import ResultStore
+from repro.workload.scenarios import all_scenarios, get_scenario
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_scenarios.json"
+
+SPIKE = DelaySpike(at=0.5, duration=2.0, multiplier=8.0)
 
 
-def _both_engines(scenario, *, process_workers=0):
-    """Run one scenario under both engines and return the two results.
+def _edge(name, transactions, num_sites=3, **system):
+    scenario = all_scenarios()[0].configured(transactions=transactions)
+    return dataclasses.replace(
+        scenario,
+        name=name,
+        system=SystemConfig(num_sites=num_sites, num_items=16, seed=3, **system),
+    )
 
-    ``process_workers > 0`` additionally runs the multi-process backend of
-    the parallel engine and returns it as a third result.
+
+def _cases():
+    cases = {
+        scenario.name: scenario.configured(transactions=40)
+        for scenario in all_scenarios()
+    }
+    edges = (
+        _edge("edge-single-site", 40, num_sites=1),
+        _edge(
+            "edge-zero-fixed-delay",
+            30,
+            network=NetworkConfig(fixed_delay=0.0, variable_delay=0.02),
+        ),
+        _edge("edge-delay-spike", 40, faults=FaultConfig(spikes=(SPIKE,))),
+        _edge("edge-streaming-audit", 40, audit="streaming"),
+    )
+    cases.update((edge.name, edge) for edge in edges)
+    return cases
+
+
+CASES = _cases()
+
+
+def _task(scenario):
+    return SimulationTask(
+        system=scenario.system,
+        workload=scenario.workload,
+        protocol=scenario.protocol,
+        dynamic_selection=scenario.dynamic_selection,
+        selection_mode=scenario.selection_mode,
+    )
+
+
+def _digest(summary):
+    blob = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _assert_pinned(name, summary):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert _digest(summary) == golden[name], (
+        f"scenario {name!r} diverged from its pinned behaviour"
+    )
+
+
+def _run_pinned(name):
+    summary = execute_task(_task(CASES[name]))
+    _assert_pinned(name, summary)
+    return summary
+
+
+@pytest.fixture
+def deliveries(monkeypatch):
+    """Record ``(sender site, receiver site, latency)`` for every message sent.
+
+    The latency excludes the sender's ``extra_delay`` (local service time),
+    so it is exactly what the network model charged for the hop.
     """
-    results = {}
-    variants = {"serial": ("serial", 0), "parallel": ("parallel", 0)}
-    if process_workers:
-        variants["process"] = ("parallel", process_workers)
-    for label, (engine, workers) in variants.items():
-        results[label] = run_simulation(
-            scenario.system.with_overrides(engine=engine, engine_workers=workers),
-            scenario.workload,
-            protocol=scenario.protocol,
-            dynamic_selection=scenario.dynamic_selection,
-            selection_mode=scenario.selection_mode,
-        )
-    return results
+    recorded = []
+    send = Network.send
+
+    def recording_send(self, sender, receiver_name, kind, payload=None, extra_delay=0.0):
+        message = send(self, sender, receiver_name, kind, payload, extra_delay)
+        latency = message.deliver_time - message.send_time - extra_delay
+        recorded.append((sender.site, self.actor(receiver_name).site, latency))
+        return message
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    return recorded
 
 
-def _assert_identical(scenario, *, process_workers=0):
-    results = _both_engines(scenario, process_workers=process_workers)
-    serial, parallel = results["serial"], results["parallel"]
-    assert serial.engine == "serial" and parallel.engine == "parallel"
-    # The full experiment-facing summary, not a filtered subset: engine and
-    # engine_stats are deliberately excluded from summaries, so nothing may
-    # differ at all.
-    assert summarize_run(parallel) == summarize_run(serial)
-    # And the parallel run really ran partitioned: window accounting exists.
-    assert parallel.engine_stats["engine"] == "parallel"
-    assert parallel.engine_stats["windows"] > 0
-    assert serial.engine_stats == {}
-    if process_workers:
-        process = results["process"]
-        assert summarize_run(process) == summarize_run(serial)
-        # The run really crossed process boundaries — no silent fallback.
-        assert process.engine_stats["backend"] == "process"
-        assert process.engine_stats["workers"] == min(
-            process_workers, scenario.system.num_sites
-        )
-        assert process.engine_stats["bytes_shipped"] > 0
-    return parallel
+def _remote_latencies(deliveries):
+    return [latency for sender, receiver, latency in deliveries if sender != receiver]
+
+
+def test_every_case_is_pinned():
+    """A newly registered scenario must be pinned, and no pin may go stale."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(golden) == sorted(CASES)
 
 
 @pytest.mark.parametrize(
     "scenario", all_scenarios(), ids=lambda scenario: scenario.name
 )
 def test_every_registered_scenario_runs_identically(scenario):
-    """Serial, inline-parallel and process-parallel agree on every registered
-    scenario — faults, crashes, delay spikes and commit variants included."""
-    _assert_identical(scenario.configured(transactions=40), process_workers=4)
+    """Every registered scenario — faults, crashes, delay spikes and commit
+    variants included — reproduces its pinned summary byte for byte."""
+    _run_pinned(scenario.name)
 
 
 class TestEdgeConfigurations:
-    """The lookahead edge cases, at full system scale."""
+    """The network-model edge cases, at full system scale."""
 
-    def test_single_site_degrades_to_serial_semantics(self):
-        scenario = dataclasses.replace(
-            all_scenarios()[0].configured(transactions=40),
-            system=SystemConfig(num_sites=1, num_items=16, seed=3),
-        )
-        parallel = _assert_identical(scenario)
-        # One site: no cross-site messages exist, so no promises are checked
-        # and (almost) every window holds a single LP.
-        assert parallel.engine_stats["promise_checks"] == 0
+    def test_single_site_degrades_to_serial_semantics(self, deliveries):
+        """One site: every message is site-local, none pays network latency."""
+        _run_pinned("edge-single-site")
+        assert deliveries
+        assert _remote_latencies(deliveries) == []
 
-    def test_zero_lookahead_runs_barrier_windows_identically(self):
-        """``fixed_delay=0`` collapses the lookahead: the engine must fall
-        back to barrier windows and *still* match the serial run."""
-        scenario = dataclasses.replace(
-            all_scenarios()[0].configured(transactions=30),
-            system=SystemConfig(
-                num_sites=3,
-                num_items=16,
-                seed=3,
-                network=NetworkConfig(fixed_delay=0.0, variable_delay=0.02),
-            ),
-        )
-        parallel = _assert_identical(scenario)
-        stats = parallel.engine_stats
-        assert stats["barrier_mode"] is True
-        assert stats["lookahead"] == 0.0
-        assert stats["windows"] == stats["barrier_windows"] > 0
+    def test_zero_lookahead_runs_barrier_windows_identically(self, deliveries):
+        """``fixed_delay=0`` leaves no minimum delay between sites: remote
+        messages may arrive almost at once, and the run still reproduces its
+        pin and stays serializable and atomic."""
+        summary = _run_pinned("edge-zero-fixed-delay")
+        assert summary["serializable"] and summary["atomic"]
+        remote = _remote_latencies(deliveries)
+        assert remote and min(remote) >= 0.0
+        assert min(remote) < NetworkConfig().fixed_delay
 
-    def test_delay_spikes_never_undercut_the_promise(self):
-        """Spikes multiply latency by >= 1; the per-event promise assertion
-        inside the engine is what turns that argument into a checked fact."""
-        scenario = dataclasses.replace(
-            all_scenarios()[0].configured(transactions=40),
-            system=SystemConfig(
-                num_sites=3,
-                num_items=16,
-                seed=3,
-                faults=FaultConfig(
-                    spikes=(DelaySpike(at=0.5, duration=2.0, multiplier=8.0),)
-                ),
-            ),
-        )
-        parallel = _assert_identical(scenario)
-        assert parallel.engine_stats["promise_checks"] > 0
+    def test_delay_spikes_never_undercut_the_promise(self, deliveries):
+        """Spikes multiply latency by >= 1, so no remote message ever arrives
+        sooner than the fixed network delay promises — and the spike really
+        stretched the messages sent inside it."""
+        _run_pinned("edge-delay-spike")
+        fixed_delay = CASES["edge-delay-spike"].system.network.fixed_delay
+        remote = _remote_latencies(deliveries)
+        assert remote
+        assert min(remote) >= fixed_delay
+        assert max(remote) >= SPIKE.multiplier * fixed_delay
 
     def test_streaming_audit_runs_identically_under_parallel(self):
-        scenario = dataclasses.replace(
-            all_scenarios()[0].configured(transactions=40),
-            system=SystemConfig(num_sites=3, num_items=16, seed=3, audit="streaming"),
-        )
-        parallel = _assert_identical(scenario)
-        assert parallel.audit == "streaming"
-        assert parallel.audit_stats["live_entries"] == 0
+        """Two worker processes running the streaming audit each land on the
+        pinned summary."""
+        task = _task(CASES["edge-streaming-audit"])
+        summaries = run_tasks([task, task], jobs=2)
+        assert summaries[0]["audit"] == "streaming"
+        for summary in summaries:
+            _assert_pinned("edge-streaming-audit", summary)
 
 
 class TestGoldenDigestsUnderParallel:
-    """The parallel engine reproduces the pre-refactor golden digests.
+    """The parallel replication engine reproduces the pre-refactor golden
+    digests.
 
-    These are the same five configurations ``tests/commit/
-    test_one_phase_identity.py`` pins for the serial engine; running them
-    with ``engine="parallel"`` must land on the *same* digests — identity
-    not just serial-vs-parallel within this codebase, but against behaviour
-    frozen before the commit-pipeline refactor ever happened.
+    These are three of the configurations ``tests/commit/
+    test_one_phase_identity.py`` pins in-process; fanned across worker
+    processes they must land on the *same* digests — behaviour frozen before
+    the commit-pipeline refactor ever happened.
     """
 
     GOLDEN = json.loads(
@@ -172,47 +202,41 @@ class TestGoldenDigestsUnderParallel:
 
     CASES = {
         "mixed-default": SimulationTask(
-            system=SystemConfig(num_sites=3, num_items=24, seed=5, engine="parallel"),
+            system=SystemConfig(num_sites=3, num_items=24, seed=5),
             workload=WorkloadConfig(arrival_rate=25.0, num_transactions=120, seed=7),
         ),
         "pure-2pl-replicated": SimulationTask(
             system=SystemConfig(
-                num_sites=3,
-                num_items=24,
-                replication_factor=2,
-                seed=5,
-                engine="parallel",
+                num_sites=3, num_items=24, replication_factor=2, seed=5
             ),
             workload=WorkloadConfig(arrival_rate=25.0, num_transactions=120, seed=7),
             protocol="2PL",
         ),
         "dynamic": SimulationTask(
-            system=SystemConfig(num_sites=3, num_items=24, seed=5, engine="parallel"),
+            system=SystemConfig(num_sites=3, num_items=24, seed=5),
             workload=WorkloadConfig(arrival_rate=25.0, num_transactions=100, seed=7),
             dynamic_selection=True,
         ),
     }
 
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_parallel_engine_matches_pre_refactor_golden(self, name):
-        summary = execute_task(self.CASES[name])
-        filtered = {key: summary[key] for key in self.GOLDEN["keys"]}
-        blob = json.dumps(filtered, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        assert digest == self.GOLDEN["digests"][name], (
-            f"parallel-engine run {name!r} diverged from the golden behaviour"
-        )
+    def test_parallel_engine_matches_pre_refactor_golden(self):
+        names = sorted(self.CASES)
+        summaries = run_tasks([self.CASES[name] for name in names], jobs=3)
+        for name, summary in zip(names, summaries):
+            filtered = {key: summary[key] for key in self.GOLDEN["keys"]}
+            assert _digest(filtered) == self.GOLDEN["digests"][name], (
+                f"parallel run {name!r} diverged from the golden behaviour"
+            )
 
 
 class TestDriverIdentity:
-    """``--jobs`` and warm resumes stay byte-identical for parallel tasks."""
+    """``--jobs`` and warm resumes stay byte-identical for tasks fanned out in
+    parallel."""
 
     def _tasks(self):
         return [
             SimulationTask(
-                system=SystemConfig(
-                    num_sites=3, num_items=16, seed=seed, engine="parallel"
-                ),
+                system=SystemConfig(num_sites=3, num_items=16, seed=seed),
                 workload=WorkloadConfig(
                     arrival_rate=25.0, num_transactions=25, seed=seed + 1
                 ),
@@ -245,187 +269,70 @@ class TestDriverIdentity:
         assert warm_store.appended == 0
         assert warm_store.hits == len(tasks)
 
-    def test_engine_changes_the_task_key(self):
-        """Serial and parallel runs may never serve each other from a store —
-        otherwise every identity test above would silently compare a cached
-        row against itself."""
-        serial_task = self._tasks()[0]
-        parallel_task = SimulationTask(
-            system=serial_task.system.with_overrides(engine="serial"),
-            workload=serial_task.workload,
-            protocol=serial_task.protocol,
-        )
-        assert task_key(serial_task) != task_key(parallel_task)
+
+class InjectedWorkerFault(RuntimeError):
+    """Raised inside a worker process by the crash test below."""
 
 
 class TestProcessBackend:
-    """The multi-process backend: fallbacks, crashes, stores, statistics."""
+    """The replication driver's worker-process pool (``--jobs N``): commit and
+    fault scenarios, store resumes that never fork, and failing workers."""
 
-    def _scenario(self, **system_overrides):
-        scenario = all_scenarios()[0].configured(transactions=40)
-        if system_overrides:
-            scenario = dataclasses.replace(
-                scenario, system=scenario.system.with_overrides(**system_overrides)
-            )
-        return scenario
-
-    def _run(self, scenario, **kwargs):
-        return run_simulation(
-            scenario.system,
-            scenario.workload,
-            protocol=scenario.protocol,
-            dynamic_selection=scenario.dynamic_selection,
-            selection_mode=scenario.selection_mode,
-            **kwargs,
-        )
-
-    def test_worker_count_clamps_to_the_site_count(self):
-        scenario = self._scenario(engine="parallel", engine_workers=16)
-        result = self._run(scenario)
-        stats = result.engine_stats
-        assert stats["backend"] == "process"
-        assert stats["workers"] == scenario.system.num_sites
-        assert stats["requested_workers"] == 16
-
-    def test_scheduler_statistics_are_reported(self):
-        result = self._run(self._scenario(engine="parallel", engine_workers=2))
-        stats = result.engine_stats
-        assert stats["windows"] > 0
-        assert stats["bytes_shipped"] > 0 and stats["bytes_received"] > 0
-        assert stats["mean_window_width"] == pytest.approx(stats["lookahead"])
-        # Workers fire the site events; the parent fires the control events.
-        assert (
-            sum(stats["events_per_worker"].values()) + stats["control_events"]
-            == stats["events_total"]
-        )
-        assert stats["worker_idle_seconds"] >= 0.0
-        assert stats["barrier_fallback"] is False
-
-    def test_single_site_falls_back_inline_and_says_so(self):
-        scenario = dataclasses.replace(
-            self._scenario(),
-            system=SystemConfig(
-                num_sites=1, num_items=16, seed=3, engine="parallel", engine_workers=4
-            ),
-        )
-        stats = self._run(scenario).engine_stats
-        assert stats["backend"] == "inline"
-        assert stats["process_fallback"] == "single-site"
-        assert stats["requested_workers"] == 4
-
-    def test_zero_lookahead_falls_back_inline_with_barrier_windows(self):
-        scenario = dataclasses.replace(
-            self._scenario(),
-            system=SystemConfig(
-                num_sites=3,
-                num_items=16,
-                seed=3,
-                engine="parallel",
-                engine_workers=2,
-                network=NetworkConfig(fixed_delay=0.0, variable_delay=0.02),
-            ),
-        )
-        stats = self._run(scenario).engine_stats
-        assert stats["process_fallback"] == "zero-lookahead"
-        assert stats["barrier_fallback"] is True
-
-    def test_dynamic_selection_falls_back_inline(self):
-        scenario = self._scenario(engine="parallel", engine_workers=2)
-        result = self._run(
-            dataclasses.replace(scenario, dynamic_selection=True, protocol=None)
-        )
-        assert result.engine_stats["process_fallback"] == "dynamic-selection"
-
-    def test_trace_hooks_fall_back_inline(self):
-        from repro.workload.generator import generate_workload
-
-        scenario = self._scenario(engine="parallel", engine_workers=2)
-        database = DistributedDatabase(scenario.system)
-        database.simulator.add_trace_hook(lambda *args: None)
-        database.load_workload(
-            generate_workload(scenario.system, scenario.workload), scenario.workload
-        )
-        result = database.run()
-        assert result.engine_stats["process_fallback"] == "trace-hooks"
-        assert result.engine_stats["backend"] == "inline"
-
-    def test_worker_crash_propagates_as_a_typed_error(self, monkeypatch):
-        """A dying worker must surface as WorkerCrashError naming its sites
-        and window — never a hang, never a bare pipe error."""
-        from repro.sim.parallel import process as process_module
-
-        def explode(worker_id, window_index, owned_sites):
-            if worker_id == 1 and window_index >= 2:
-                raise RuntimeError("injected worker fault")
-
-        monkeypatch.setattr(process_module, "_worker_fault_hook", explode)
-        scenario = self._scenario(engine="parallel", engine_workers=2)
-        with pytest.raises(process_module.WorkerCrashError) as excinfo:
-            self._run(scenario)
-        error = excinfo.value
-        expected_sites = process_module.assign_sites(scenario.system.num_sites, 2)[1]
-        assert error.sites == expected_sites
-        assert error.window >= 2
-        assert "injected worker fault" in error.detail
-
-    def test_engine_workers_change_the_task_key(self):
-        """Inline and multi-process runs must not serve each other from a
-        result store, or the identity sweep would compare a row to itself."""
-        base = SimulationTask(
-            system=SystemConfig(num_sites=3, num_items=16, seed=0, engine="parallel"),
-            workload=WorkloadConfig(arrival_rate=25.0, num_transactions=25, seed=1),
-            protocol="2PL",
-        )
-        keys = {
-            task_key(
-                SimulationTask(
-                    system=base.system.with_overrides(engine_workers=workers),
-                    workload=base.workload,
-                    protocol=base.protocol,
-                )
-            )
-            for workers in (0, 2, 3)
-        }
-        assert len(keys) == 3
+    SCENARIOS = ("crash-storm", "coordinator-blackout", "in-doubt-storm", "flaky-links")
 
     def _process_tasks(self):
         return [
-            SimulationTask(
-                system=SystemConfig(
-                    num_sites=3,
-                    num_items=16,
-                    seed=seed,
-                    engine="parallel",
-                    engine_workers=3,
-                ),
-                workload=WorkloadConfig(
-                    arrival_rate=25.0, num_transactions=25, seed=seed + 1
-                ),
-                protocol=protocol,
-            )
-            for seed in (0, 1)
-            for protocol in ("2PL", "T/O")
+            _task(get_scenario(name).configured(transactions=25))
+            for name in self.SCENARIOS
         ]
 
     def test_process_tasks_identical_across_jobs(self):
         tasks = self._process_tasks()
-        assert run_tasks(tasks, jobs=4) == run_tasks(tasks, jobs=1)
+        assert run_tasks(tasks, jobs=3) == run_tasks(tasks, jobs=1)
 
     def test_warm_resume_serves_process_tasks_without_executing(
         self, tmp_path, monkeypatch
     ):
         """Cold multi-process runs and a warm store resume are byte-identical,
-        and the warm pass never forks a single worker."""
+        and the warm pass never starts a worker pool."""
         tasks = self._process_tasks()
         store = ResultStore(tmp_path / "runs.jsonl")
-        first = run_tasks(tasks, store=store)
+        first = run_tasks(tasks, store=store, jobs=2)
 
-        def explode(task):
-            raise AssertionError("a warm re-run must not execute any task")
+        def no_pool():
+            raise AssertionError("a warm re-run must not start a worker pool")
 
-        monkeypatch.setattr("repro.analysis.replications.execute_task", explode)
+        monkeypatch.setattr("repro.analysis.replications._pool_context", no_pool)
         warm_store = ResultStore(store.path)
         again = run_tasks(tasks, store=warm_store, jobs=4)
         assert again == first
         assert warm_store.appended == 0
         assert warm_store.hits == len(tasks)
+
+    def test_worker_crash_propagates_as_a_typed_error(self, tmp_path, monkeypatch):
+        """An exception inside a worker reaches the caller with its own type
+        and message — never a hang — and no row is stored for the failed
+        task."""
+        from repro.analysis import replications
+        from repro.store import task_key
+
+        tasks = self._process_tasks()
+        doomed = tasks[1]
+        execute = replications.execute_task
+
+        def faulty(task):
+            if task == doomed:
+                raise InjectedWorkerFault("injected worker fault")
+            return execute(task)
+
+        # Workers fork from this process, so they inherit the patched entry.
+        monkeypatch.setattr(replications, "execute_task", faulty)
+        store = ResultStore(tmp_path / "runs.jsonl")
+        with pytest.raises(InjectedWorkerFault, match="injected worker fault"):
+            run_tasks(tasks, store=store, jobs=2)
+        assert store.lookup(task_key(doomed)) is None
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    digests = {name: _digest(execute_task(_task(case))) for name, case in CASES.items()}
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=2) + "\n")

@@ -212,10 +212,8 @@ def render_experiments() -> str:
         "Benchmarks without an experiment id: `benchmarks/bench_scenarios.py`",
         "(the named-scenario suite), `benchmarks/bench_micro_hotpaths.py`",
         "(hot-path micros vs. `BENCH_BASELINE.json`), `benchmarks/bench_store.py`",
-        "(result-store micros), `benchmarks/bench_streaming_audit.py`",
-        "(bounded-memory audit at 10^6 transactions), and",
-        "`benchmarks/bench_parallel_engine.py` (parallel-engine identity and",
-        "worker scaling).",
+        "(result-store micros), and `benchmarks/bench_streaming_audit.py`",
+        "(bounded-memory audit at 10^6 transactions).",
     ]
     return "\n".join(out) + "\n"
 
