@@ -275,7 +275,7 @@ class SiteDaemon:
         """The drain probe: how much work this site still holds."""
         return {
             "site": self._site,
-            "active": len(self._issuer.active_transactions()),
+            "active": self._issuer.uncommitted,
             "committed": self._metrics.committed_count,
         }
 

@@ -8,6 +8,10 @@ from typing import Any, Mapping
 
 from repro.common.ids import SiteId
 
+#: The one read-only metadata view shared by every envelope built without
+#: metadata (nearly all of them): nothing to copy, nothing to protect.
+_EMPTY_METADATA: Mapping[str, Any] = MappingProxyType({})
+
 
 @dataclass(frozen=True)
 class Message:
@@ -22,7 +26,9 @@ class Message:
     read-only view at construction: one envelope may be held by a transport
     queue, a trace hook and the receiving actor at once (and, in live mode,
     by an outbound frame encoder), so a mutable envelope would let any one
-    holder silently change what the others observe.
+    holder silently change what the others observe.  Envelopes built without
+    metadata share one empty read-only view instead of each copying an empty
+    dict.
     """
 
     kind: str
@@ -31,10 +37,11 @@ class Message:
     payload: Any = None
     send_time: float = 0.0
     deliver_time: float = 0.0
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any] = field(default_factory=lambda: _EMPTY_METADATA)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+        if self.metadata is not _EMPTY_METADATA:
+            object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
 
 class Actor:

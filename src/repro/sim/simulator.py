@@ -78,30 +78,28 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the single next event.  Returns ``False`` when no events remain."""
-        next_time = self._queue.peek_time()
-        if next_time is None:
+        if not self._queue:
             return False
-        event = self._queue.pop()
-        self._now = event.time
-        self._events_processed += 1
-        for hook in self._trace_hooks:
-            hook(event.time, event.label)
-        event.callback()
+        self.run(max_events=1)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached or ``stop()`` is called.
 
-        Returns the simulated time at which the run loop exited.
+        Returns the simulated time at which the run loop exited.  This loop
+        is the only place events fire: one head peek (which also purges
+        cancelled events) per event, then the pop.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
+        queue = self._queue
+        hooks = self._trace_hooks
         fired = 0
         try:
             while not self._stopped:
-                next_time = self._queue.peek_time()
+                next_time = queue.peek_time()
                 if next_time is None:
                     break
                 if until is not None and next_time > until:
@@ -109,7 +107,12 @@ class Simulator:
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                self.step()
+                event = queue.pop()
+                self._now = next_time
+                self._events_processed += 1
+                for hook in hooks:
+                    hook(next_time, event.label)
+                event.callback()
                 fired += 1
         finally:
             self._running = False

@@ -232,6 +232,10 @@ class RequestIssuerActor(Actor):
             self._commit_config.protocol, self
         )
         self._executions: Dict[TransactionId, TransactionExecution] = {}
+        # Submitted transactions that have not reached COMMITTED: kept exact
+        # by submit_transaction and transition(), so the run's termination
+        # test never walks the execution table.
+        self._uncommitted = 0
         self._timestamp_counter = 0
         self._protocol_switches = 0
 
@@ -304,13 +308,17 @@ class RequestIssuerActor(Actor):
                 f"for {execution.tid}"
             )
         execution.status = status
-        if status is TransactionStatus.COMMITTED and self._audit_stream is not None:
+        if status is TransactionStatus.COMMITTED:
             # The commit point: every path to COMMITTED funnels through this
-            # transition, so the streaming audit learns exactly once which
-            # attempt committed and which copies it must see quiesce.
-            self._audit_stream.note_commit(
-                execution.tid, execution.attempt, execution.copies()
-            )
+            # transition (and COMMITTED -> FINISHED is the only way out), so
+            # the uncommitted count drops exactly once per transaction and the
+            # streaming audit learns exactly once which attempt committed and
+            # which copies it must see quiesce.
+            self._uncommitted -= 1
+            if self._audit_stream is not None:
+                self._audit_stream.note_commit(
+                    execution.tid, execution.attempt, execution.copies()
+                )
 
     def compute_write_values(self, execution: TransactionExecution) -> Dict[int, Any]:
         """The write set's values: the spec's logic applied to the read values."""
@@ -409,17 +417,15 @@ class RequestIssuerActor(Actor):
             spec=spec, protocol=protocol, timestamp=self._new_timestamp(now)
         )
         self._executions[spec.tid] = execution
+        self._uncommitted += 1
         self._protocol_registry[spec.tid] = protocol
         self._metrics.record_arrival(protocol, spec.arrival_time)
         self._start_attempt(execution)
 
-    def active_transactions(self) -> Tuple[TransactionId, ...]:
-        """Transactions that have not committed yet."""
-        return tuple(
-            tid
-            for tid, execution in self._executions.items()
-            if execution.status not in (TransactionStatus.COMMITTED, TransactionStatus.FINISHED)
-        )
+    @property
+    def uncommitted(self) -> int:
+        """Number of submitted transactions that have not committed yet (O(1))."""
+        return self._uncommitted
 
     def execution_status(self, tid: TransactionId) -> Optional[TransactionStatus]:
         """The life-cycle status of ``tid``'s current attempt, or ``None``."""

@@ -417,9 +417,15 @@ class DistributedDatabase:
         return self._protocol_registry.get(tid)
 
     def remaining_work(self) -> int:
-        """Arrivals not yet submitted plus transactions not yet committed."""
-        active = sum(len(issuer.active_transactions()) for issuer in self._issuers.values())
-        return self._pending_arrivals + active
+        """Arrivals not yet submitted plus transactions not yet committed.
+
+        This is the run's termination test: the deadlock detector and the
+        checkpoint chain stop rescheduling themselves once it reaches zero,
+        which lets the event queue drain.  It is O(sites): every issuer keeps
+        its uncommitted count exactly.
+        """
+        uncommitted = sum(issuer.uncommitted for issuer in self._issuers.values())
+        return self._pending_arrivals + uncommitted
 
     # ---------------------------------------------------------------- #
     # Workload submission

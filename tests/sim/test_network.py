@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.common.config import NetworkConfig
+from repro.common.config import CoordinatorCrash, FaultConfig, NetworkConfig, SiteCrash
 from repro.common.errors import SimulationError
 from repro.sim.actor import Actor, Message
+from repro.sim.faults import FaultInjector
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator
@@ -146,6 +147,103 @@ class TestExplicitRng:
         assert [seeded.latency(0, 1) for _ in range(5)] != [
             reseeded.latency(0, 1) for _ in range(5)
         ]
+
+
+class TestSendContract:
+    """What callers and the fault model rely on from ``Network.send``."""
+
+    def test_unknown_receiver_raises_naming_it(self):
+        _, network = build_network()
+        sender = Recorder("s", 0)
+        network.register(sender)
+        with pytest.raises(SimulationError, match="'nobody'"):
+            network.send(sender, "nobody", "ping")
+        assert network.messages_sent == 0
+
+    def test_only_later_sends_on_a_channel_get_a_fifo_bump(self):
+        # Zero latency puts the first delivery exactly at the send instant,
+        # the one place a wrong "no earlier message" sentinel would bump it.
+        simulator, network = build_network(local=0.0)
+        sender, first, second = Recorder("s", 0), Recorder("r1", 0), Recorder("r2", 0)
+        for actor in (sender, first, second):
+            network.register(actor)
+        opening = network.send(sender, "r1", "a")
+        follow_up = network.send(sender, "r1", "b")
+        other_channel = network.send(sender, "r2", "c")
+        assert opening.deliver_time == 0.0
+        assert follow_up.deliver_time == 1e-12
+        assert other_channel.deliver_time == 0.0
+        simulator.run()
+        assert [message.kind for message in first.received] == ["a", "b"]
+
+    @staticmethod
+    def _faulty_network(config):
+        simulator = Simulator()
+        faults = FaultInjector(simulator, config, num_sites=2, rng=RandomStreams(0))
+        network = Network(
+            simulator,
+            NetworkConfig(fixed_delay=0.01, variable_delay=0.0, local_delay=0.001),
+            RandomStreams(1),
+            faults=faults,
+        )
+        return simulator, network
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            (FaultConfig(crashes=(SiteCrash(site=1, at=0.0, duration=1.0),)), ("crashable",)),
+            (
+                FaultConfig(coordinator_crashes=(CoordinatorCrash(site=1, at=0.0, duration=1.0),)),
+                ("coordinator_crashable",),
+            ),
+            (
+                FaultConfig(
+                    crashes=(SiteCrash(site=1, at=0.0, duration=1.0),),
+                    coordinator_crashes=(CoordinatorCrash(site=1, at=0.0, duration=1.0),),
+                ),
+                ("crashable", "coordinator_crashable"),
+            ),
+        ],
+        ids=["site-down", "coordinator-down", "both-down"],
+    )
+    def test_message_to_a_downed_receiver_is_dropped_and_counted_once(self, config, flags):
+        simulator, network = self._faulty_network(config)
+        sender, receiver = Recorder("s", 0), Recorder("r", 1)
+        for flag in flags:
+            setattr(receiver, flag, True)
+        network.register(sender)
+        network.register(receiver)
+        network.send(sender, "r", "ping")
+        simulator.run()
+        assert receiver.received == []
+        assert network.messages_sent == 1
+        assert network.messages_dropped == 1
+        assert network.dropped_by_kind() == {"ping": 1}
+
+    def test_down_window_only_drops_what_lands_inside_it(self):
+        simulator, network = self._faulty_network(
+            FaultConfig(coordinator_crashes=(CoordinatorCrash(site=1, at=0.0, duration=1.0),))
+        )
+        sender, bystander = Recorder("s", 0), Recorder("r", 1)
+        bystander.crashable = True  # its site stays up; only the coordinator is down
+        network.register(sender)
+        network.register(bystander)
+        network.send(sender, "r", "ping")
+        simulator.run()
+        assert len(bystander.received) == 1
+        assert network.messages_dropped == 0
+
+
+class TestMessageMetadata:
+    def test_envelope_without_metadata_has_a_read_only_empty_view(self):
+        message = Message("k", "a", "b")
+        assert dict(message.metadata) == {}
+        with pytest.raises(TypeError):
+            message.metadata["hop"] = 1
+        with pytest.raises(AttributeError):
+            message.metadata = {"hop": 1}
+        # Nothing to copy: every bare envelope shares the one empty view.
+        assert Message("k", "a", "c").metadata is message.metadata
 
 
 class TestBaseActor:

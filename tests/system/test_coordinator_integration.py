@@ -46,7 +46,7 @@ class TestLifecycle:
         assert result.committed == 1
         issuer = database.issuer(0)
         assert issuer.execution_status(tid) is TransactionStatus.FINISHED
-        assert issuer.active_transactions() == ()
+        assert issuer.uncommitted == 0
 
     def test_read_only_transaction(self):
         database, _ = build_database()
