@@ -24,7 +24,7 @@ check-api-docs:
 bench-gate:
 	$(PY) tools/check_bench.py
 
-## memory-regression gate: streaming-audit peak must stay flat across 10x runs
+## memory-regression gate: a streaming run's memory per transaction stays flat across 10x runs
 memory-gate:
 	$(PY) -m pytest tests/system/test_streaming_memory.py -q
 
@@ -34,7 +34,6 @@ bench-smoke:
 	$(PY) -m pytest benchmarks/bench_micro_hotpaths.py benchmarks/bench_store.py \
 		benchmarks/bench_e10_availability.py benchmarks/bench_e11_recovery.py \
 		benchmarks/bench_e12_sim_live.py \
-		benchmarks/bench_streaming_audit.py \
 		-q --benchmark-disable
 
 ## full pytest-benchmark run of the hot-path micros

@@ -131,16 +131,22 @@ class ReferenceEventQueue:
         callback,
         priority: int = 0,
         label: str = "",
+        seq: Optional[int] = None,
     ) -> ReferenceEvent:
         event = ReferenceEvent(
             time=time,
             priority=priority,
-            seq=next(self._counter),
+            seq=next(self._counter) if seq is None else seq,
             callback=callback,
             label=label,
         )
         heapq.heappush(self._heap, event)
         return event
+
+    def reserve(self, count: int) -> int:
+        first = next(self._counter)
+        self._counter = itertools.count(first + count)
+        return first
 
     def pop(self) -> ReferenceEvent:
         while self._heap:

@@ -82,13 +82,30 @@ class EventQueue:
         callback: Callable[[], None],
         priority: int = 0,
         label: str = "",
+        seq: Optional[int] = None,
     ) -> Event:
-        """Insert a callback to fire at ``time`` and return its event handle."""
-        seq = next(self._counter)
+        """Insert a callback to fire at ``time`` and return its event handle.
+
+        ``seq`` is normally drawn fresh; a caller that pushes a block of
+        events one at a time passes a seq it took from :meth:`reserve`.
+        """
+        if seq is None:
+            seq = next(self._counter)
         event = Event(time, priority, seq, callback, label, _queue=self)
         heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
+
+    def reserve(self, count: int) -> int:
+        """Set aside ``count`` consecutive seqs and return the first.
+
+        The seqs are exactly those ``count`` back-to-back pushes would have
+        drawn, so events later pushed with them tie-break against every
+        other event as those pushes' events would have.
+        """
+        first = next(self._counter)
+        self._counter = itertools.count(first + count)
+        return first
 
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.

@@ -60,13 +60,22 @@ class Simulator:
         callback: Callable[[], None],
         priority: int = 0,
         label: str = "",
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` to run at absolute simulated time ``time``."""
+        """Schedule ``callback`` to run at absolute simulated time ``time``.
+
+        ``seq`` is a tie-break taken from :meth:`reserve`; by default a
+        fresh one is drawn.
+        """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event at {time}, which is before the current time {self._now}"
             )
-        return self._queue.push(time, callback, priority=priority, label=label)
+        return self._queue.push(time, callback, priority=priority, label=label, seq=seq)
+
+    def reserve(self, count: int) -> int:
+        """Reserve ``count`` consecutive event seqs; returns the first."""
+        return self._queue.reserve(count)
 
     def add_trace_hook(self, hook: TraceHook) -> None:
         """Register a hook called with ``(time, label)`` for every fired event."""

@@ -231,7 +231,10 @@ class RequestIssuerActor(Actor):
         self._commit: CommitProtocol = create_commit_protocol(
             self._commit_config.protocol, self
         )
+        # Live transactions only: an execution leaves at FINISHED, and
+        # _finished keeps the attempt it committed under.
         self._executions: Dict[TransactionId, TransactionExecution] = {}
+        self._finished: Dict[TransactionId, int] = {}
         # Submitted transactions that have not reached COMMITTED: kept exact
         # by submit_transaction and transition(), so the run's termination
         # test never walks the execution table.
@@ -308,7 +311,14 @@ class RequestIssuerActor(Actor):
                 f"for {execution.tid}"
             )
         execution.status = status
-        if status is TransactionStatus.COMMITTED:
+        if status is TransactionStatus.FINISHED:
+            # Retirement: a finished transaction holds no lock and waits for
+            # nothing, so only its committed attempt outlives it.  Late
+            # replies then find no execution and are ignored, and pending
+            # timers holding the object are no-ops under their guards.
+            del self._executions[execution.tid]
+            self._finished[execution.tid] = execution.attempt
+        elif status is TransactionStatus.COMMITTED:
             # The commit point: every path to COMMITTED funnels through this
             # transition (and COMMITTED -> FINISHED is the only way out), so
             # the uncommitted count drops exactly once per transaction and the
@@ -430,7 +440,9 @@ class RequestIssuerActor(Actor):
     def execution_status(self, tid: TransactionId) -> Optional[TransactionStatus]:
         """The life-cycle status of ``tid``'s current attempt, or ``None``."""
         execution = self._executions.get(tid)
-        return execution.status if execution is not None else None
+        if execution is not None:
+            return execution.status
+        return TransactionStatus.FINISHED if tid in self._finished else None
 
     def committed_attempts(self) -> Dict[TransactionId, int]:
         """For every committed transaction, the attempt number that committed.
@@ -438,16 +450,21 @@ class RequestIssuerActor(Actor):
         The serializability oracle audits the view of the execution log
         restricted to these attempts; entries stranded by an abort message
         that a crashed site never received belong to no committed attempt
-        and are excluded.
+        and are excluded.  Retired transactions answer from the finished
+        map; only those still COMMITTED (awaiting their final release) are
+        read off a live execution.
         """
-        return {
-            tid: execution.attempt
-            for tid, execution in self._executions.items()
-            if execution.status in (TransactionStatus.COMMITTED, TransactionStatus.FINISHED)
-        }
+        committed = dict(self._finished)
+        for tid, execution in self._executions.items():
+            if execution.status is TransactionStatus.COMMITTED:
+                committed[tid] = execution.attempt
+        return committed
 
     def granted_lock_count(self, tid: TransactionId) -> int:
-        """Number of locks the transaction currently holds (victim-selection hint)."""
+        """Number of locks the transaction currently holds (victim-selection hint).
+
+        A retired (finished) transaction holds none.
+        """
         execution = self._executions.get(tid)
         if execution is None:
             return 0

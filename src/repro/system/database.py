@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.commit.audit import (
     ReplicaReport,
@@ -436,17 +436,46 @@ class DistributedDatabase:
         specs: Sequence[TransactionSpec],
         workload_config: Optional[WorkloadConfig] = None,
     ) -> None:
-        """Schedule the arrival of every transaction in ``specs``."""
+        """Schedule the arrival of every transaction in ``specs``, one at a time.
+
+        The arrivals fire exactly as ``for spec in specs: submit(spec)``
+        would fire them, but only one of them is pending at any moment: each
+        arrival schedules the next as it fires, so the event list does not
+        grow with the workload.  The block of seqs the eager loop would have
+        drawn is reserved up front and handed out in firing order — a stable
+        sort by arrival time — so every arrival tie-breaks against every
+        other event as it would have under the eager loop.
+        """
         self._workload_config = workload_config
         for spec in specs:
-            self.submit(spec)
+            self._check_origin(spec)
+        now = self._simulator.now
+        ordered = sorted(specs, key=lambda spec: max(spec.arrival_time, now))
+        self._pending_arrivals += len(ordered)
+        self._submitted += len(ordered)
+        first_seq = self._simulator.reserve(len(ordered))
+        self._schedule_next_arrival(iter(enumerate(ordered, first_seq)), now)
+
+    def _schedule_next_arrival(
+        self, arrivals: Iterator[Tuple[int, TransactionSpec]], not_before: float
+    ) -> None:
+        """Push the next of ``load_workload``'s arrivals with its reserved seq."""
+        step = next(arrivals, None)
+        if step is None:
+            return
+        seq, spec = step
+
+        def arrive() -> None:
+            self._schedule_next_arrival(arrivals, not_before)
+            self._arrive(spec)
+
+        self._simulator.schedule_at(
+            max(spec.arrival_time, not_before), arrive, label=f"arrival-{spec.tid}", seq=seq
+        )
 
     def submit(self, spec: TransactionSpec) -> None:
         """Schedule one transaction to arrive at its ``arrival_time``."""
-        if spec.origin_site not in self._issuers:
-            raise SimulationError(
-                f"transaction {spec.tid} originates at unknown site {spec.origin_site}"
-            )
+        self._check_origin(spec)
         self._pending_arrivals += 1
         self._submitted += 1
         self._simulator.schedule_at(
@@ -454,6 +483,12 @@ class DistributedDatabase:
             lambda spec=spec: self._arrive(spec),
             label=f"arrival-{spec.tid}",
         )
+
+    def _check_origin(self, spec: TransactionSpec) -> None:
+        if spec.origin_site not in self._issuers:
+            raise SimulationError(
+                f"transaction {spec.tid} originates at unknown site {spec.origin_site}"
+            )
 
     def _arrive(self, spec: TransactionSpec) -> None:
         if self._faults is not None and not self._faults.coordinator_up(
@@ -549,7 +584,9 @@ class DistributedDatabase:
             deadlocks_found=self._detector.deadlocks_found,
             deadlock_victims=self._detector.victims,
             protocol_switches=sum(issuer.protocol_switches for issuer in self._issuers.values()),
-            protocol_of=dict(self._protocol_registry),
+            # The registry itself, not a copy: the run is over and nothing
+            # writes it again, and a copy would double an O(n) map.
+            protocol_of=self._protocol_registry,
             commit_protocol=self._system.commit.protocol,
             committed_attempts=committed_attempts,
             replica_report=replica_report,

@@ -73,3 +73,23 @@ class TestEventQueue:
         queue.push(1.0, lambda: None)
         queue.clear()
         assert not queue
+
+    def test_reserve_sets_aside_the_seqs_of_back_to_back_pushes(self):
+        queue = EventQueue()
+        assert queue.push(1.0, lambda: None).seq == 0
+        assert queue.reserve(3) == 1
+        assert queue.push(1.0, lambda: None).seq == 4
+        assert queue.reserve(0) == 5
+        assert queue.push(1.0, lambda: None).seq == 5
+
+    def test_reserved_seq_ties_as_the_eager_push_would_have(self):
+        queue = EventQueue()
+        order = []
+        queue.push(1.0, lambda: order.append("before"))
+        first = queue.reserve(2)
+        queue.push(1.0, lambda: order.append("after"))
+        # Pushed last, but its reserved seq sorts it between the two.
+        queue.push(1.0, lambda: order.append("reserved"), seq=first + 1)
+        while queue:
+            queue.pop().callback()
+        assert order == ["before", "reserved", "after"]

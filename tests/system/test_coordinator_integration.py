@@ -2,12 +2,20 @@
 
 import pytest
 
+from repro.analysis.replications import summarize_run
 from repro.common.config import NetworkConfig, SystemConfig
-from repro.common.ids import TransactionId
+from repro.common.ids import RequestId, TransactionId
+from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
 from repro.common.transactions import TransactionSpec, TransactionStatus
+from repro.core.effects import BackoffIssued, GrantIssued, RequestRejected
+from repro.core.locks import LockMode
+from repro.core.requests import Request
+from repro.sim.actor import Message
+from repro.sim.stats import WelfordAccumulator
 from repro.storage.store import ValueStore
 from repro.system.database import DistributedDatabase
+from repro.system.queue_manager_actor import queue_manager_name
 
 
 def build_database(num_sites=2, num_items=8, **overrides):
@@ -164,8 +172,97 @@ class TestConflictHandling:
         database.simulator.run(until=0.1)
         issuer = database.issuer(0)
         # The second transaction holds its lock on item 1 but waits for item 0.
-        assert issuer.granted_lock_count(tid) >= 0
+        assert issuer.execution_status(tid) is TransactionStatus.REQUESTING
+        assert issuer.granted_lock_count(tid) == len(database.catalog.write_copies(1)) == 1
         database.run()
+        # Retired at FINISHED: a finished transaction holds nothing.
+        assert issuer.execution_status(tid) is TransactionStatus.FINISHED
+        assert issuer.granted_lock_count(tid) == 0
+
+
+def _fingerprint(database, result):
+    """Everything a stray reply could move: summary, statistics, traffic, events."""
+    statistics = {
+        str(protocol): {
+            name: vars(value) if isinstance(value, WelfordAccumulator) else value
+            for name, value in vars(stats).items()
+        }
+        for protocol, stats in result.metrics.all_protocol_statistics().items()
+    }
+    return (
+        summarize_run(result),
+        statistics,
+        database.network.messages_sent,
+        database.simulator.pending_events,
+    )
+
+
+class TestRetirement:
+    """At FINISHED an issuer keeps only the attempt that committed."""
+
+    @pytest.mark.parametrize("kind", ["grant", "normal-grant", "backoff", "reject", "abort_victim"])
+    def test_late_reply_to_a_retired_transaction_is_a_no_op(self, kind):
+        database, _ = build_database()
+        tid = TransactionId(0, 1)
+        database.submit(spec(tid, reads=(0,), writes=(1,)))
+        result = database.run()
+        issuer = database.issuer(0)
+        before = _fingerprint(database, result)
+
+        # The committed attempt's own request id: the worst case, since a
+        # stale attempt number is filtered before any table lookup.
+        copy = database.catalog.write_copies(1)[0]
+        request = Request(
+            request_id=RequestId(tid, 1, 0),
+            transaction=tid,
+            protocol=Protocol.TWO_PHASE_LOCKING,
+            op_type=OperationType.WRITE,
+            copy=copy,
+            timestamp=0.001,
+            issuer=issuer.name,
+        )
+        now = database.simulator.now
+        payload = {
+            "grant": GrantIssued(request, LockMode.WRITE, normal=False, time=now),
+            "normal-grant": GrantIssued(request, LockMode.WRITE, normal=True, time=now),
+            "backoff": BackoffIssued(request, new_timestamp=5.0, time=now),
+            "reject": RequestRejected(request, time=now),
+            "abort_victim": tid,
+        }[kind]
+        message_kind = "grant" if kind == "normal-grant" else kind
+        issuer.handle(Message(message_kind, queue_manager_name(copy), issuer.name, payload))
+
+        assert _fingerprint(database, result) == before
+        assert issuer.execution_status(tid) is TransactionStatus.FINISHED
+        assert issuer.committed_attempts() == {tid: 0}
+        assert issuer.granted_lock_count(tid) == 0
+        assert issuer.uncommitted == 0
+
+    def test_committed_attempts_include_a_transaction_awaiting_normality(self):
+        # READER (T/O) holds a read lock on item 0 for a long computation;
+        # WRITER (T/O, later timestamp) is granted its write pre-scheduled
+        # behind it, commits at once under one-phase commit, downgrades, and
+        # waits COMMITTED for the normal grant READER's release brings
+        # (Section 4.2 rule 4).  It has not retired yet, but it committed.
+        database, _ = build_database()
+        reader, writer = TransactionId(0, 1), TransactionId(1, 1)
+        database.submit(spec(reader, reads=(0,), protocol=Protocol.TIMESTAMP_ORDERING,
+                             compute=0.2))
+        database.submit(spec(writer, writes=(0,), protocol=Protocol.TIMESTAMP_ORDERING,
+                             arrival=0.02))
+        issuer = database.issuer(1)
+        sightings = []
+
+        def check(_time, _label):
+            if issuer.execution_status(writer) is TransactionStatus.COMMITTED:
+                sightings.append(issuer.committed_attempts().get(writer))
+
+        database.simulator.add_trace_hook(check)
+        result = database.run()
+        assert result.committed == 2 and result.serializable
+        assert sightings and set(sightings) == {0}
+        assert issuer.execution_status(writer) is TransactionStatus.FINISHED
+        assert result.committed_attempts == {reader: 0, writer: 0}
 
 
 class TestReplicationWriteAll:

@@ -10,6 +10,8 @@ The first test checks the count against that walk after every event of runs
 that exercise restarts, deadlock victims, timeouts, 2PC aborts and the
 coordinator-recovery walk.  The second makes any iteration of an execution
 table during the event loop fail loudly, so the walk cannot creep back in.
+The third holds the tables to open transactions: an execution retires at
+FINISHED, and no lookup inside the loop ever finds a finished one.
 """
 
 import pytest
@@ -92,6 +94,7 @@ def test_uncommitted_matches_the_walk_after_every_event(case):
         assert metrics.timeout_restarts > 0
     else:
         assert result.coordinator_crashes > 0 and metrics.coordinator_recoveries > 0
+        assert metrics.redriven_transactions > 0
 
 
 class _ExplodingTable(dict):
@@ -153,3 +156,47 @@ def test_nothing_walks_an_execution_table_inside_the_loop(case, monkeypatch):
     # committed_attempts() after the loop is the only full walk left.
     assert result.committed == result.submitted == CASES[case][1]
     assert len(result.committed_attempts) == result.committed
+
+
+class _RetiredGuard(dict):
+    """An execution table that fails if a lookup ever yields a FINISHED execution."""
+
+    @staticmethod
+    def _checked(execution):
+        if execution is not None and execution.status is TransactionStatus.FINISHED:
+            raise AssertionError(f"{execution.tid} was looked up after it finished")
+        return execution
+
+    def get(self, key, default=None):
+        return self._checked(super().get(key, default))
+
+    def __getitem__(self, key):
+        return self._checked(super().__getitem__(key))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_no_finished_execution_is_found_inside_the_loop(case):
+    database = _database(case)
+    issuers = _issuers(database)
+    for issuer in issuers:
+        issuer._executions = _RetiredGuard(issuer._executions)
+
+    def check(_time, label):
+        for issuer in issuers:
+            finished = [
+                execution.tid
+                for execution in dict.values(issuer._executions)
+                if execution.status is TransactionStatus.FINISHED
+            ]
+            assert not finished, (label, finished)
+
+    database.simulator.add_trace_hook(check)
+    result = database.run(max_events=200_000)
+    assert result.committed == result.submitted == CASES[case][1]
+    assert result.serializable and result.atomic
+    # Every transaction retired: the tables are empty, and the committed
+    # attempts come from the finished maps alone.
+    assert all(not dict.__len__(issuer._executions) for issuer in issuers)
+    assert len(result.committed_attempts) == result.committed
+    for tid in result.committed_attempts:
+        assert database.issuer(tid.site).execution_status(tid) is TransactionStatus.FINISHED

@@ -211,9 +211,8 @@ def render_experiments() -> str:
         "",
         "Benchmarks without an experiment id: `benchmarks/bench_scenarios.py`",
         "(the named-scenario suite), `benchmarks/bench_micro_hotpaths.py`",
-        "(hot-path micros vs. `BENCH_BASELINE.json`), `benchmarks/bench_store.py`",
-        "(result-store micros), and `benchmarks/bench_streaming_audit.py`",
-        "(bounded-memory audit at 10^6 transactions).",
+        "(hot-path micros vs. `BENCH_BASELINE.json`), and `benchmarks/bench_store.py`",
+        "(result-store micros).",
     ]
     return "\n".join(out) + "\n"
 
