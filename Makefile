@@ -2,7 +2,7 @@ PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test check-docs api-docs check-api-docs bench bench-smoke bench-baseline bench-gate memory-gate \
-	bench-ledger ledger-selftest ledger-digests ledger-panel
+	bench-ledger ledger-selftest ledger-digests ledger-panel qm-differential
 
 ## tier-1 verification gate
 test:
@@ -65,3 +65,7 @@ ledger-panel:
 ## refresh BENCH_BASELINE.json (seed vs optimised A/B; exits non-zero on drift)
 bench-baseline:
 	$(PY) benchmarks/baseline.py
+
+## the queue manager against the Section 4 reference scheduler, 2,000 examples per test
+qm-differential:
+	$(PY) -m pytest tests/properties/test_queue_manager_reference.py -q --hypothesis-profile=qm-differential

@@ -73,6 +73,9 @@ class ReferenceDataQueue:
     def resort(self) -> None:
         self._sort()
 
+    def refile(self, entries) -> None:
+        self._sort()
+
     def head(self) -> Optional[QueuedRequest]:
         for entry in self._entries:
             if not entry.granted:
@@ -176,8 +179,7 @@ class ReferenceQueueManager(QueueManager):
             if entry.is_blocked:
                 continue
             waiter = entry.transaction
-            mode = self._lock_mode_for(entry)
-            for lock in self._locks.conflicting_locks(mode, excluding=waiter):
+            for lock in self._locks.conflicting_locks(entry.mode, excluding=waiter):
                 edges.append((waiter, lock.transaction))
             for earlier in self._queue.entries_before(entry):
                 if earlier.granted or earlier.transaction == waiter:

@@ -16,10 +16,11 @@ The queue keeps three synchronised structures:
 * ``_keys`` — a parallel list of *filed keys*, one per entry.  A filed key is
   ``(precedence.sort_key(), insertion_seq)``: unique, strictly increasing for
   equal precedences in arrival order, so binary search pinpoints any entry in
-  O(log n) even among precedence ties.  Filed keys are recorded at insert (and
-  at :meth:`resort`) time, so callers may mutate ``entry.precedence`` freely
-  between a batch of updates and the closing :meth:`resort` — lookups stay
-  consistent because they use the key an entry was *filed* under;
+  O(log n) even among precedence ties.  Filed keys are recorded on the entry
+  (``filed_key``) at insert, :meth:`refile` and :meth:`resort` time, so
+  callers may mutate ``entry.precedence`` freely between a batch of updates
+  and the closing :meth:`refile` / :meth:`resort` — lookups stay consistent
+  because they use the key an entry was *filed* under;
 * ``_by_request`` / ``_by_transaction`` — hash indices making ``find`` O(1)
   and ``entries_of`` / ``remove_transaction`` O(k) in the number of the
   transaction's own entries.
@@ -35,12 +36,13 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import RequestId, TransactionId
-from repro.core.locks import GrantedLock
+from repro.core.locks import GrantedLock, LockMode
 from repro.core.precedence import Precedence
 from repro.core.requests import Request
 
@@ -62,6 +64,12 @@ class QueuedRequest:
     granted: bool = False
     lock: Optional[GrantedLock] = None
     enqueue_time: float = 0.0
+    #: The lock mode the request asks for and the granted modes that keep it
+    #: waiting (Section 4.2 rule 2), fixed by the queue manager on arrival.
+    mode: Optional[LockMode] = None
+    blockers: Tuple[LockMode, ...] = ()
+    #: The key the data queue filed the entry under (its own bookkeeping).
+    filed_key: Optional[Tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def transaction(self) -> TransactionId:
@@ -79,13 +87,15 @@ class QueuedRequest:
         return self.status is EntryStatus.BLOCKED
 
 
+_filed_key = attrgetter("filed_key")
+
+
 class DataQueue:
     """Precedence-ordered queue of requests for one physical copy."""
 
     def __init__(self) -> None:
         self._entries: List[QueuedRequest] = []
         self._keys: List[Tuple] = []
-        self._filed: Dict[RequestId, Tuple] = {}
         self._by_request: Dict[RequestId, QueuedRequest] = {}
         self._by_transaction: Dict[TransactionId, List[QueuedRequest]] = {}
         self._insert_seq = 0
@@ -103,17 +113,20 @@ class DataQueue:
 
     def insert(self, entry: QueuedRequest) -> None:
         """Insert an entry keeping the queue sorted by precedence."""
-        request_id = entry.request_id
-        if request_id in self._by_request:
+        request = entry.request
+        request_id = request.request_id
+        if self._by_request.setdefault(request_id, entry) is not entry:
             raise ProtocolError(f"request {request_id} is already queued")
-        key = (entry.precedence.sort_key(), self._insert_seq)
+        self._file(entry)
+        self._by_transaction.setdefault(request.transaction, []).append(entry)
+
+    def _file(self, entry: QueuedRequest) -> None:
+        """Place ``entry`` by binary search under a fresh key for its precedence."""
+        key = entry.filed_key = (entry.precedence.sort_key(), self._insert_seq)
         self._insert_seq += 1
         position = bisect.bisect_left(self._keys, key)
         self._entries.insert(position, entry)
         self._keys.insert(position, key)
-        self._filed[request_id] = key
-        self._by_request[request_id] = entry
-        self._by_transaction.setdefault(entry.transaction, []).append(entry)
         if position < self._head_hint:
             self._head_hint = position
 
@@ -126,25 +139,30 @@ class DataQueue:
         bucket = self._by_transaction.get(transaction)
         if not bucket:
             return ()
-        return tuple(sorted(bucket, key=lambda entry: self._filed[entry.request_id]))
+        if len(bucket) == 1:
+            return (bucket[0],)
+        return tuple(sorted(bucket, key=_filed_key))
 
     def remove(self, request_id: RequestId) -> QueuedRequest:
         """Remove and return the entry for ``request_id``."""
-        entry = self._by_request.get(request_id)
+        entry = self._by_request.pop(request_id, None)
         if entry is None:
             raise ProtocolError(f"request {request_id} is not queued")
+        self._unfile(entry)
+        transaction = entry.request.transaction
+        bucket = self._by_transaction.pop(transaction)
+        if len(bucket) > 1:
+            bucket.remove(entry)
+            self._by_transaction[transaction] = bucket
+        return entry
+
+    def _unfile(self, entry: QueuedRequest) -> None:
+        """Take ``entry`` out of the ordered list (the indices keep it)."""
         position = self._index_of(entry)
         del self._entries[position]
         del self._keys[position]
-        del self._filed[request_id]
-        del self._by_request[request_id]
-        bucket = self._by_transaction[entry.transaction]
-        bucket.remove(entry)
-        if not bucket:
-            del self._by_transaction[entry.transaction]
         if position < self._head_hint:
             self._head_hint -= 1
-        return entry
 
     def remove_transaction(self, transaction: TransactionId) -> Tuple[QueuedRequest, ...]:
         """Remove every entry of ``transaction`` and return them."""
@@ -164,24 +182,47 @@ class DataQueue:
             (entry.precedence.sort_key(), index)
             for index, entry in enumerate(self._entries)
         ]
-        self._filed = {
-            entry.request_id: key for entry, key in zip(self._entries, self._keys)
-        }
+        for entry, key in zip(self._entries, self._keys):
+            entry.filed_key = key
         self._insert_seq = len(self._entries)
         self._head_hint = 0
 
+    def refile(self, entries: Tuple[QueuedRequest, ...]) -> None:
+        """Re-file queued ``entries`` under their current precedences.
+
+        The same order :meth:`resort` gives when only these entries'
+        precedences changed and none of them ties an entry outside the batch
+        (precedences of different transactions never tie): the batch leaves
+        the list, then returns by binary search in its queue order, so ties
+        inside it keep their relative order.  O(k log n) instead of O(n log n).
+        """
+        if len(entries) > 1:
+            entries = sorted(entries, key=_filed_key)
+        for entry in entries:
+            self._unfile(entry)
+        for entry in entries:
+            self._file(entry)
+
     def head(self) -> Optional[QueuedRequest]:
         """``HD(j)``: the first not-yet-granted entry in precedence order, or ``None``."""
-        position = self._first_ungranted_index()
-        if position < len(self._entries):
-            return self._entries[position]
+        entries = self._entries
+        position = self._head_hint
+        end = len(entries)
+        while position < end:
+            entry = entries[position]
+            if not entry.granted:
+                self._head_hint = position
+                return entry
+            position += 1
+        self._head_hint = position
         return None
 
     def ungranted(self) -> Tuple[QueuedRequest, ...]:
         """All not-yet-granted entries in precedence order."""
-        start = self._first_ungranted_index()
+        if self.head() is None:
+            return ()
         return tuple(
-            entry for entry in self._entries[start:] if not entry.granted
+            entry for entry in self._entries[self._head_hint :] if not entry.granted
         )
 
     def granted(self) -> Tuple[QueuedRequest, ...]:
@@ -190,25 +231,16 @@ class DataQueue:
 
     def entries_before(self, entry: QueuedRequest) -> Tuple[QueuedRequest, ...]:
         """Entries strictly ahead of ``entry`` in precedence order."""
-        if entry.request_id not in self._filed:
+        if self._by_request.get(entry.request_id) is not entry:
             return ()
         return tuple(self._entries[: self._index_of(entry)])
 
     def _index_of(self, entry: QueuedRequest) -> int:
         """Position of ``entry`` via binary search on its filed key."""
-        key = self._filed[entry.request_id]
+        key = entry.filed_key
         position = bisect.bisect_left(self._keys, key)
         if position >= len(self._entries) or self._entries[position] is not entry:
             raise ProtocolError(
                 f"queue index out of sync for request {entry.request_id}"
             )  # pragma: no cover - guarded by the class invariants
-        return position
-
-    def _first_ungranted_index(self) -> int:
-        """Advance and return the cached first-ungranted cursor."""
-        position = self._head_hint
-        entries = self._entries
-        while position < len(entries) and entries[position].granted:
-            position += 1
-        self._head_hint = position
         return position

@@ -48,7 +48,7 @@ class Precedence:
 
     def sort_key(self) -> Tuple:
         """Total-order key implementing the three tie-breaking rules."""
-        if self.is_two_phase_locking:
+        if self.protocol is Protocol.TWO_PHASE_LOCKING:
             # Rule 2: 2PL counts as the biggest site id (group 1 sorts after
             # group 0).  Rule 3 (both 2PL): arrival order at the data queue.
             return (self.timestamp, 1, 0, self.arrival_seq, 0)

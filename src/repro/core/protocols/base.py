@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
@@ -48,6 +48,11 @@ class QueueStateView:
     arrival_seq: int
 
 
+#: What :meth:`ProtocolPolicy.assign` returns: the decision, the precedence
+#: produced, and the back-off timestamp proposed (PA only).
+Assignment = Tuple[DecisionKind, Precedence, Optional[float]]
+
+
 class ProtocolPolicy(abc.ABC):
     """Precedence assignment for one concurrency-control protocol."""
 
@@ -55,8 +60,28 @@ class ProtocolPolicy(abc.ABC):
     protocol: Protocol
 
     @abc.abstractmethod
+    def assign(
+        self,
+        request: Request,
+        read_ts: float,
+        write_ts: float,
+        max_timestamp_seen: float,
+        arrival_seq: int,
+    ) -> Assignment:
+        """The assignment function on the queue's state (see :class:`QueueStateView`).
+
+        The queue manager calls this on every arrival, so it takes the state
+        as plain arguments and returns a plain tuple.
+        """
+
     def decide_arrival(self, request: Request, view: QueueStateView) -> ArrivalDecision:
         """Assign a precedence to ``request`` or decide to reject / back it off."""
+        kind, precedence, backoff_timestamp = self.assign(
+            request, view.read_ts, view.write_ts, view.max_timestamp_seen, view.arrival_seq
+        )
+        return ArrivalDecision(
+            kind=kind, precedence=precedence, backoff_timestamp=backoff_timestamp
+        )
 
     def lock_mode(self, op_type: OperationType, semi_locks_enabled: bool = True) -> LockMode:
         """Lock mode a request of this protocol asks for.
@@ -68,11 +93,7 @@ class ProtocolPolicy(abc.ABC):
             return LockMode.WRITE if op_type.is_write else LockMode.READ
         return requested_lock_mode(self.protocol, op_type)
 
-    def _timestamp_precedence(self, request: Request) -> Precedence:
-        """Precedence carrying the transaction's own timestamp (T/O and PA)."""
-        return Precedence(
-            timestamp=request.timestamp,
-            protocol=self.protocol,
-            site=request.transaction.site,
-            transaction=request.transaction,
-        )
+    def _timestamp_precedence(self, request: Request, timestamp: float) -> Precedence:
+        """Precedence at ``timestamp`` in the transaction's own slot (T/O and PA)."""
+        transaction = request.transaction
+        return Precedence(timestamp, self.protocol, transaction.site, transaction)

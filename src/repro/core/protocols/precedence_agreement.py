@@ -37,13 +37,9 @@ from __future__ import annotations
 import math
 
 from repro.common.errors import ProtocolError
+from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
-from repro.core.protocols.base import (
-    ArrivalDecision,
-    DecisionKind,
-    ProtocolPolicy,
-    QueueStateView,
-)
+from repro.core.protocols.base import Assignment, DecisionKind, ProtocolPolicy
 from repro.core.requests import Request
 
 
@@ -52,33 +48,29 @@ class PrecedenceAgreementPolicy(ProtocolPolicy):
 
     protocol = Protocol.PRECEDENCE_AGREEMENT
 
-    def decide_arrival(self, request: Request, view: QueueStateView) -> ArrivalDecision:
-        """Insert the PA request blocked with a proposed timestamp (Section 3.4 step 1)."""
-        precedence = self._timestamp_precedence(request)
-        threshold = self._acceptance_threshold(request, view)
-        if request.timestamp > threshold:
-            # Acceptable as-is: propose the request's own timestamp.  The
-            # entry still waits, blocked, for the issuer's confirmation.
-            return ArrivalDecision(
-                kind=DecisionKind.BLOCK,
-                precedence=precedence,
-                backoff_timestamp=request.timestamp,
-            )
-        backoff_timestamp = self.backoff_timestamp(
-            request.timestamp, request.backoff_interval, threshold
-        )
-        return ArrivalDecision(
-            kind=DecisionKind.BLOCK,
-            precedence=precedence.with_timestamp(backoff_timestamp),
-            backoff_timestamp=backoff_timestamp,
-        )
+    def assign(
+        self,
+        request: Request,
+        read_ts: float,
+        write_ts: float,
+        max_timestamp_seen: float,
+        arrival_seq: int,
+    ) -> Assignment:
+        """Insert the PA request blocked with a proposed timestamp (Section 3.4 step 1).
 
-    @staticmethod
-    def _acceptance_threshold(request: Request, view: QueueStateView) -> float:
-        """Largest granted timestamp the arriving timestamp must exceed."""
-        if request.is_read:
-            return view.write_ts
-        return max(view.write_ts, view.read_ts)
+        The proposal is the request's own timestamp when it beats the largest
+        conflicting granted timestamp (``W-TS`` for a read, ``W-TS`` and
+        ``R-TS`` for a write), else the backed-off ``TS'``.  Either way the
+        entry waits, blocked, for the issuer's confirmation.
+        """
+        timestamp = request.timestamp
+        if request.op_type is OperationType.READ:
+            threshold = write_ts
+        else:
+            threshold = max(write_ts, read_ts)
+        if timestamp <= threshold:
+            timestamp = self.backoff_timestamp(timestamp, request.backoff_interval, threshold)
+        return DecisionKind.BLOCK, self._timestamp_precedence(request, timestamp), timestamp
 
     @staticmethod
     def backoff_timestamp(timestamp: float, interval: float, threshold: float) -> float:

@@ -11,13 +11,9 @@ A rejected transaction restarts with a fresh, larger timestamp.
 
 from __future__ import annotations
 
+from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
-from repro.core.protocols.base import (
-    ArrivalDecision,
-    DecisionKind,
-    ProtocolPolicy,
-    QueueStateView,
-)
+from repro.core.protocols.base import Assignment, DecisionKind, ProtocolPolicy
 from repro.core.requests import Request
 
 
@@ -26,16 +22,23 @@ class TimestampOrderingPolicy(ProtocolPolicy):
 
     protocol = Protocol.TIMESTAMP_ORDERING
 
-    def decide_arrival(self, request: Request, view: QueueStateView) -> ArrivalDecision:
-        """Accept the request in timestamp order, or reject it as arriving too late."""
-        precedence = self._timestamp_precedence(request)
-        if self._arrives_in_order(request, view):
-            return ArrivalDecision(kind=DecisionKind.ACCEPT, precedence=precedence)
-        return ArrivalDecision(kind=DecisionKind.REJECT, precedence=precedence)
+    def assign(
+        self,
+        request: Request,
+        read_ts: float,
+        write_ts: float,
+        max_timestamp_seen: float,
+        arrival_seq: int,
+    ) -> Assignment:
+        """Accept the request in timestamp order, or reject it as arriving too late.
 
-    @staticmethod
-    def _arrives_in_order(request: Request, view: QueueStateView) -> bool:
-        """True when no conflicting request with a later timestamp has been granted."""
-        if request.is_read:
-            return request.timestamp > view.write_ts
-        return request.timestamp > view.write_ts and request.timestamp > view.read_ts
+        In order means no conflicting request with a later timestamp has been
+        granted: a read must beat ``W-TS``, a write both ``W-TS`` and ``R-TS``.
+        """
+        timestamp = request.timestamp
+        precedence = self._timestamp_precedence(request, timestamp)
+        if timestamp > write_ts and (
+            request.op_type is OperationType.READ or timestamp > read_ts
+        ):
+            return DecisionKind.ACCEPT, precedence, None
+        return DecisionKind.REJECT, precedence, None

@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from repro.common.protocol_names import Protocol
 from repro.core.precedence import Precedence
-from repro.core.protocols.base import (
-    ArrivalDecision,
-    DecisionKind,
-    ProtocolPolicy,
-    QueueStateView,
-)
+from repro.core.protocols.base import Assignment, DecisionKind, ProtocolPolicy
 from repro.core.requests import Request
 
 
@@ -30,13 +25,17 @@ class TwoPhaseLockingPolicy(ProtocolPolicy):
 
     protocol = Protocol.TWO_PHASE_LOCKING
 
-    def decide_arrival(self, request: Request, view: QueueStateView) -> ArrivalDecision:
-        """Accept the 2PL request; it waits for conflicting locks ahead of it."""
+    def assign(
+        self,
+        request: Request,
+        read_ts: float,
+        write_ts: float,
+        max_timestamp_seen: float,
+        arrival_seq: int,
+    ) -> Assignment:
+        """Accept the 2PL request at the tail; it waits for conflicting locks ahead of it."""
+        transaction = request.transaction
         precedence = Precedence(
-            timestamp=view.max_timestamp_seen,
-            protocol=self.protocol,
-            site=request.transaction.site,
-            transaction=request.transaction,
-            arrival_seq=view.arrival_seq,
+            max_timestamp_seen, self.protocol, transaction.site, transaction, arrival_seq
         )
-        return ArrivalDecision(kind=DecisionKind.ACCEPT, precedence=precedence)
+        return DecisionKind.ACCEPT, precedence, None

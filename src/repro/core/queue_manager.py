@@ -38,25 +38,73 @@ DESIGN.md, "Key design decisions"):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import CopyId, TransactionId
+from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
 from repro.core.data_queue import DataQueue, EntryStatus, QueuedRequest
 from repro.core.deadlock import pack_transaction
 from repro.core.effects import BackoffIssued, Effect, GrantIssued, RequestRejected
-from repro.core.locks import GrantedLock, LockMode, LockTable
+from repro.core.locks import GrantedLock, LockMode, LockTable, blocking_modes
 from repro.core.precedence import Precedence
-from repro.core.protocols.base import DecisionKind, ProtocolPolicy, QueueStateView
+from repro.core.protocols.base import DecisionKind
 from repro.core.protocols.precedence_agreement import PrecedenceAgreementPolicy
 from repro.core.protocols.registry import default_policies
 from repro.core.requests import Request
 from repro.storage.log import ExecutionLog
 
+_READ = OperationType.READ
+_ACCEPTED = EntryStatus.ACCEPTED
+_BLOCKED = EntryStatus.BLOCKED
+_REJECT = DecisionKind.REJECT
+_BLOCK = DecisionKind.BLOCK
+_TWO_PHASE_LOCKING = Protocol.TWO_PHASE_LOCKING
+
+
+class _Plan(NamedTuple):
+    """Everything an arrival of one protocol needs, looked up once per request.
+
+    ``read`` and ``write`` are ``(lock mode, blocking modes)`` for that
+    operation type.
+    """
+
+    assign: Callable
+    read: Tuple[LockMode, Tuple[LockMode, ...]]
+    write: Tuple[LockMode, Tuple[LockMode, ...]]
+
+
+def _build_plans(semi_locks_enabled: bool) -> Dict[Protocol, _Plan]:
+    def locking(protocol, policy, op_type):
+        return (
+            policy.lock_mode(op_type, semi_locks_enabled),
+            blocking_modes(protocol, op_type, semi_locks_enabled),
+        )
+
+    return {
+        protocol: _Plan(
+            assign=policy.assign,
+            read=locking(protocol, policy, OperationType.READ),
+            write=locking(protocol, policy, OperationType.WRITE),
+        )
+        for protocol, policy in default_policies().items()
+    }
+
+
+#: Per ``semi_locks_enabled``: protocol -> plan, built once from the default policies.
+_PLANS = {semi: _build_plans(semi) for semi in (True, False)}
+
 
 class QueueManager:
-    """Unified concurrency-control manager for one physical copy."""
+    """Unified concurrency-control manager for one physical copy.
+
+    A request costs a constant handful of steps: one plan lookup fixes its
+    assignment function, lock mode and blocking modes; the data queue files
+    it by binary search; ``HD(j)`` comes from a cursor; the grant test walks
+    only the copy's granted locks; and promotion visits only the locks still
+    pre-scheduled (DESIGN.md, "Queue manager representation").
+    """
 
     def __init__(
         self,
@@ -64,12 +112,12 @@ class QueueManager:
         execution_log: Optional[ExecutionLog] = None,
         *,
         semi_locks_enabled: bool = True,
-        policies: Optional[Dict[Protocol, ProtocolPolicy]] = None,
     ) -> None:
         self._copy = copy
+        self._copy_key = (copy.item, copy.site)
         self._log = execution_log if execution_log is not None else ExecutionLog()
         self._semi_locks_enabled = semi_locks_enabled
-        self._policies = dict(policies) if policies is not None else default_policies()
+        self._plans = _PLANS[semi_locks_enabled]
         self._queue = DataQueue()
         self._locks = LockTable(copy)
         self._effects: List[Effect] = []
@@ -167,54 +215,45 @@ class QueueManager:
 
     def submit(self, request: Request, now: float) -> None:
         """Handle the arrival of a new request (the paper's QM step 2(b)-(c))."""
-        if request.copy != self._copy:
+        copy = request.copy
+        if copy is not self._copy and (copy.item, copy.site) != self._copy_key:
             raise ProtocolError(
-                f"request for {request.copy} submitted to the queue manager of {self._copy}"
+                f"request for {copy} submitted to the queue manager of {self._copy}"
             )
-        policy = self._policy_for(request.protocol)
-        view = QueueStateView(
-            read_ts=self._read_ts,
-            write_ts=self._write_ts,
-            max_timestamp_seen=self._max_timestamp_seen,
-            arrival_seq=self._arrival_counter,
+        plan = self._plans[request.protocol]
+        kind, precedence, backoff_timestamp = plan.assign(
+            request, self._read_ts, self._write_ts, self._max_timestamp_seen, self._arrival_counter
         )
-        decision = policy.decide_arrival(request, view)
         self._arrival_counter += 1
 
-        if decision.kind is DecisionKind.REJECT:
+        if kind is _REJECT:
             self._rejections += 1
             self._effects.append(RequestRejected(request=request, time=now))
             return
 
-        if decision.kind is DecisionKind.BLOCK:
-            backoff_timestamp = decision.backoff_timestamp
+        if kind is _BLOCK:
+            status = _BLOCKED
             if backoff_timestamp is not None and backoff_timestamp > request.timestamp:
                 self._backoffs += 1
-            entry = QueuedRequest(
-                request=request,
-                precedence=decision.precedence,
-                status=EntryStatus.BLOCKED,
-                enqueue_time=now,
-            )
-            self._queue.insert(entry)
-            self._note_timestamp(decision.precedence.timestamp)
-            self._effects.append(
-                BackoffIssued(
-                    request=request,
-                    new_timestamp=decision.backoff_timestamp,
-                    time=now,
-                )
-            )
-            return
-
+        else:
+            status = _ACCEPTED
+        mode, blockers = plan.read if request.op_type is _READ else plan.write
         entry = QueuedRequest(
             request=request,
-            precedence=decision.precedence,
-            status=EntryStatus.ACCEPTED,
+            precedence=precedence,
+            status=status,
             enqueue_time=now,
+            mode=mode,
+            blockers=blockers,
         )
         self._queue.insert(entry)
-        if not request.protocol.is_two_phase_locking:
+        if status is _BLOCKED:
+            self._note_timestamp(precedence.timestamp)
+            self._effects.append(
+                BackoffIssued(request=request, new_timestamp=backoff_timestamp, time=now)
+            )
+            return
+        if request.protocol is not _TWO_PHASE_LOCKING:
             self._note_timestamp(request.timestamp)
         self._try_grant(now)
 
@@ -230,16 +269,20 @@ class QueueManager:
         module docstring).
         """
         self._note_timestamp(new_timestamp)
-        for entry in self._queue.entries_of(transaction):
+        entries = self._queue.entries_of(transaction)
+        for entry in entries:
             if entry.granted:
                 self._bump_granted_timestamp(entry, new_timestamp, now)
             else:
-                if new_timestamp > entry.precedence.timestamp or entry.is_blocked:
+                if new_timestamp > entry.precedence.timestamp or entry.status is _BLOCKED:
                     entry.precedence = entry.precedence.with_timestamp(
                         max(new_timestamp, entry.precedence.timestamp)
                     )
-                entry.status = EntryStatus.ACCEPTED
-        self._queue.resort()
+                entry.status = _ACCEPTED
+        # Only this transaction's precedences moved, and precedences of
+        # different transactions never tie, so re-filing its entries orders
+        # the queue exactly as a full stable re-sort would.
+        self._queue.refile(entries)
         self._try_grant(now)
 
     def release(
@@ -255,12 +298,14 @@ class QueueManager:
         holds a prepared record for).
         """
         for entry in self._queue.entries_of(transaction):
-            if attempt is not None and entry.request_id.attempt != attempt:
+            request_id = entry.request.request_id
+            if attempt is not None and request_id.attempt != attempt:
                 continue
-            if entry.granted and entry.lock is not None:
-                self._implement(entry.lock, now)
-                self._locks.release(entry.request_id)
-            self._queue.remove(entry.request_id)
+            lock = entry.lock
+            if entry.granted and lock is not None:
+                self._implement(lock, entry.request, now)
+                self._locks.release(request_id)
+            self._queue.remove(request_id)
         # Every operation of the released attempt(s) is implemented (reads at
         # grant time, writes just above), so this copy is quiesced for the
         # transaction: no further log entry of it can appear here.
@@ -280,7 +325,10 @@ class QueueManager:
             raise ProtocolError("downgrade is only meaningful when semi-locks are enabled")
         changed = False
         for lock in self._locks.locks_of(transaction):
-            self._implement(lock, now)
+            entry = self._queue.find(lock.request_id)
+            if entry is None:
+                raise ProtocolError(f"granted lock {lock.request_id} has no queue entry")
+            self._implement(lock, entry.request, now)
             self._locks.downgrade(lock)
             changed = True
         if changed:
@@ -304,22 +352,23 @@ class QueueManager:
         normal — the participant has no reason to hold it a tick longer.
         """
         for entry in self._queue.entries_of(transaction):
-            if attempt is not None and entry.request_id.attempt != attempt:
+            request_id = entry.request.request_id
+            if attempt is not None and request_id.attempt != attempt:
                 continue
             lock = entry.lock
             if entry.granted and lock is not None:
                 defer = (
                     self._semi_locks_enabled
-                    and lock.protocol.is_timestamp_ordering
+                    and lock.protocol is Protocol.TIMESTAMP_ORDERING
                     and not lock.normal_grant_sent
                 )
-                self._implement(lock, now)
+                self._implement(lock, entry.request, now)
                 if defer:
                     self._locks.downgrade(lock)
                     lock.release_on_normal = True
                     continue
-                self._locks.release(entry.request_id)
-            self._queue.remove(entry.request_id)
+                self._locks.release(request_id)
+            self._queue.remove(request_id)
         # A deferred semi-lock only delays the *lock* release; its operation
         # was implemented above, so the copy is quiesced for this attempt
         # regardless.
@@ -342,11 +391,12 @@ class QueueManager:
         attempt's entries (two-phase recovery resolving an old in-doubt round).
         """
         for entry in self._queue.entries_of(transaction):
-            if attempt is not None and entry.request_id.attempt != attempt:
+            request_id = entry.request.request_id
+            if attempt is not None and request_id.attempt != attempt:
                 continue
-            if entry.granted and entry.lock is not None and entry.request_id in self._locks:
-                self._locks.release(entry.request_id)
-            self._queue.remove(entry.request_id)
+            if entry.granted and entry.lock is not None and request_id in self._locks:
+                self._locks.release(request_id)
+            self._queue.remove(request_id)
         self._log.remove_transaction(self._copy, transaction, attempt)
         self._promote_pre_scheduled(now)
         self._try_grant(now)
@@ -387,8 +437,8 @@ class QueueManager:
             raise ProtocolError(
                 f"lock for {request.copy} restored at the queue manager of {self._copy}"
             )
-        policy = self._policy_for(request.protocol)
-        mode = policy.lock_mode(request.op_type, self._semi_locks_enabled)
+        plan = self._plans[request.protocol]
+        mode, blockers = plan.read if request.op_type is _READ else plan.write
         if request.protocol.is_two_phase_locking:
             timestamp = self._max_timestamp_seen
         else:
@@ -406,6 +456,8 @@ class QueueManager:
             precedence=precedence,
             status=EntryStatus.ACCEPTED,
             enqueue_time=now,
+            mode=mode,
+            blockers=blockers,
         )
         self._queue.insert(entry)
         lock = self._locks.grant(
@@ -478,8 +530,7 @@ class QueueManager:
             if bucket is None:
                 bucket = adjacency[waiter_key] = set()
                 transaction_of[waiter_key] = waiter
-            mode = self._lock_mode_for(entry)
-            for lock in self._locks.conflicting_locks(mode, excluding=waiter):
+            for lock in self._locks.conflicting_locks(entry.mode, excluding=waiter):
                 holder = lock.transaction
                 holder_key = pack_transaction(holder)
                 if holder_key not in adjacency:
@@ -517,92 +568,63 @@ class QueueManager:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _policy_for(self, protocol: Protocol) -> ProtocolPolicy:
-        try:
-            return self._policies[protocol]
-        except KeyError:
-            raise ProtocolError(f"queue manager has no policy for protocol {protocol}") from None
-
     def _note_timestamp(self, timestamp: float) -> None:
-        self._max_timestamp_seen = max(self._max_timestamp_seen, timestamp)
-
-    def _lock_mode_for(self, entry: QueuedRequest) -> LockMode:
-        policy = self._policy_for(entry.request.protocol)
-        return policy.lock_mode(entry.request.op_type, self._semi_locks_enabled)
+        if timestamp > self._max_timestamp_seen:
+            self._max_timestamp_seen = timestamp
 
     def _try_grant(self, now: float) -> None:
-        """Grant ``HD(j)`` while it is grantable (the paper's QM step 2(e))."""
+        """Grant ``HD(j)`` while it is grantable (the paper's QM step 2(e)).
+
+        The head is grantable when no other transaction holds one of its
+        blocking modes (Section 4.2 rule 2, fixed per entry on arrival).
+        """
+        queue, locks = self._queue, self._locks
         while True:
-            entry = self._queue.head()
-            if entry is None or entry.is_blocked:
+            entry = queue.head()
+            if entry is None or entry.status is _BLOCKED:
                 return
-            mode = self._lock_mode_for(entry)
-            if not self._can_grant(entry, mode):
+            request = entry.request
+            lock = locks.acquire(
+                request.request_id,
+                request.transaction,
+                request.protocol,
+                entry.mode,
+                entry.blockers,
+                now,
+            )
+            if lock is None:
                 return
-            self._grant(entry, mode, now)
-
-    def _can_grant(self, entry: QueuedRequest, mode: LockMode) -> bool:
-        """Semi-lock grant rules of Section 4.2 (rule 2)."""
-        transaction = entry.transaction
-        protocol = entry.request.protocol
-        timestamp_ordering = protocol.is_timestamp_ordering and self._semi_locks_enabled
-
-        if timestamp_ordering and entry.request.is_read:
-            # T/O read: SRL once all previously granted WLs are released.
-            blocking = self._locks.unreleased_with_modes([LockMode.WRITE], excluding=transaction)
-        elif timestamp_ordering:
-            # T/O write: WL once all previously granted RLs and WLs are released.
-            blocking = self._locks.unreleased_with_modes(
-                [LockMode.READ, LockMode.WRITE], excluding=transaction
+            entry.granted = True
+            entry.lock = lock
+            timestamp = entry.precedence.timestamp
+            if request.op_type is _READ:
+                if timestamp > self._read_ts:
+                    self._read_ts = timestamp
+                # A read takes effect the moment its lock is granted: the value
+                # it observes is attached to the grant (paper, Section 3.4 step
+                # 1(g)), so this is the instant that orders it against
+                # conflicting writes.
+                self._implement(lock, request, now)
+            elif timestamp > self._write_ts:
+                self._write_ts = timestamp
+            self._grants_issued += 1
+            normal = not lock.pre_scheduled
+            self._effects.append(
+                GrantIssued(request=request, mode=lock.mode, normal=normal, time=now)
             )
-        elif entry.request.is_read:
-            # 2PL / PA read: RL once all previously granted WLs and SWLs are released.
-            blocking = self._locks.unreleased_with_modes(
-                [LockMode.WRITE, LockMode.SEMI_WRITE], excluding=transaction
-            )
-        else:
-            # 2PL / PA write: WL once all previously granted locks are released.
-            blocking = self._locks.unreleased_with_modes(list(LockMode), excluding=transaction)
-        return not blocking
-
-    def _grant(self, entry: QueuedRequest, mode: LockMode, now: float) -> None:
-        transaction = entry.transaction
-        conflicting = self._locks.conflicting_locks(mode, excluding=transaction)
-        pre_scheduled = bool(conflicting)
-        lock = self._locks.grant(
-            request_id=entry.request_id,
-            transaction=transaction,
-            protocol=entry.request.protocol,
-            mode=mode,
-            time=now,
-            pre_scheduled=pre_scheduled,
-        )
-        entry.granted = True
-        entry.lock = lock
-        if entry.request.is_read:
-            self._read_ts = max(self._read_ts, entry.precedence.timestamp)
-            # A read takes effect the moment its lock is granted: the value it
-            # observes is attached to the grant (paper, Section 3.4 step 1(g)),
-            # so this is the instant that orders it against conflicting writes.
-            self._implement(lock, now)
-        else:
-            self._write_ts = max(self._write_ts, entry.precedence.timestamp)
-        self._grants_issued += 1
-        self._effects.append(
-            GrantIssued(request=entry.request, mode=mode, normal=not pre_scheduled, time=now)
-        )
 
     def _promote_pre_scheduled(self, now: float) -> None:
-        """Send normal grants for pre-scheduled locks whose earlier conflicts are gone."""
-        for lock in self._locks.locks():
-            if lock.normal_grant_sent:
-                continue
+        """Send normal grants for pre-scheduled locks whose earlier conflicts are gone.
+
+        Only the lock table's pre-scheduled locks can turn normal, so a
+        release visits those alone, in grant order, and usually none.
+        """
+        for lock in self._locks.pre_scheduled():
             if lock.request_id not in self._locks:
                 continue  # auto-released earlier in this very pass
-            remaining = self._locks.conflicting_locks(
+            if self._locks.conflicting_locks(
                 lock.mode, excluding=lock.transaction, granted_before=lock.grant_seq
-            )
-            if remaining:
+            ):
                 continue
             self._locks.mark_normal(lock)
             entry = self._queue.find(lock.request_id)
@@ -619,17 +641,14 @@ class QueueManager:
                 GrantIssued(request=entry.request, mode=lock.mode, normal=True, time=now)
             )
 
-    def _implement(self, lock: GrantedLock, now: float) -> None:
+    def _implement(self, lock: GrantedLock, request: Request, now: float) -> None:
         """Record the operation as implemented exactly once (paper, Section 4.3)."""
         if lock.implemented:
             return
-        entry = self._queue.find(lock.request_id)
-        if entry is None:
-            raise ProtocolError(f"granted lock {lock.request_id} has no queue entry")
         self._log.record(
             copy=self._copy,
             transaction=lock.transaction,
-            op_type=entry.request.op_type,
+            op_type=request.op_type,
             protocol=lock.protocol,
             time=now,
             attempt=lock.request_id.attempt,
@@ -685,10 +704,7 @@ class QueueManager:
                     )
                 )
             elif protocol.is_precedence_agreement:
-                policy = self._policy_for(protocol)
-                if not isinstance(policy, PrecedenceAgreementPolicy):  # pragma: no cover
-                    continue
-                backoff = policy.backoff_timestamp(
+                backoff = PrecedenceAgreementPolicy.backoff_timestamp(
                     entry.request.timestamp, entry.request.backoff_interval, new_timestamp
                 )
                 entry.precedence = entry.precedence.with_timestamp(backoff)

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.common.errors import SimulationError
-from repro.common.ids import CopyId, TransactionId
+from repro.common.ids import CopyId
+from repro.common.operations import OperationType
 from repro.core.effects import BackoffIssued, GrantIssued, RequestRejected
 from repro.core.queue_manager import QueueManager
-from repro.core.requests import Request
 from repro.sim.actor import Actor, Message
 from repro.storage.store import ValueStore
 from repro.system.metrics import MetricsCollector
@@ -75,6 +75,7 @@ class QueueManagerActor(Actor):
     ) -> None:
         super().__init__(name=queue_manager_name(manager.copy), site=manager.copy.site)
         self._manager = manager
+        self._copy = manager.copy
         self._transport = transport
         self._metrics = metrics
         self._value_store = value_store
@@ -87,54 +88,48 @@ class QueueManagerActor(Actor):
     def handle(self, message: Message) -> None:
         """Dispatch one inbound network message to the queue manager."""
         now = self._transport.now
-        if message.kind == "request":
-            request: Request = message.payload
-            self._manager.submit(request, now)
-        elif message.kind == "update_ts":
-            transaction, new_timestamp = message.payload
-            self._manager.update_timestamp(transaction, new_timestamp, now)
-        elif message.kind == "release":
-            transaction, attempt = self._transaction_and_attempt(message.payload)
-            self._manager.release(transaction, now, attempt)
-        elif message.kind == "commit_release":
-            transaction, attempt = self._transaction_and_attempt(message.payload)
-            self._manager.release_prepared(transaction, now, attempt)
-        elif message.kind == "downgrade":
-            self._manager.downgrade(message.payload, now)
-        elif message.kind == "abort":
-            transaction, attempt = self._transaction_and_attempt(message.payload)
-            self._manager.abort(transaction, now, attempt)
+        manager = self._manager
+        kind = message.kind
+        payload = message.payload
+        if kind == "request":
+            manager.submit(payload, now)
+        elif kind == "update_ts":
+            transaction, new_timestamp = payload
+            manager.update_timestamp(transaction, new_timestamp, now)
+        elif kind == "downgrade":
+            manager.downgrade(payload, now)
+        elif kind == "release" or kind == "commit_release" or kind == "abort":
+            # A ``TransactionId`` or ``(TransactionId, attempt)`` payload.
+            if isinstance(payload, tuple):
+                transaction, attempt = payload
+            else:
+                transaction, attempt = payload, None
+            if kind == "release":
+                manager.release(transaction, now, attempt)
+            elif kind == "commit_release":
+                manager.release_prepared(transaction, now, attempt)
+            else:
+                manager.abort(transaction, now, attempt)
         else:
-            raise SimulationError(f"queue manager received unknown message kind {message.kind!r}")
-        self._dispatch_effects(now)
-
-    @staticmethod
-    def _transaction_and_attempt(payload):
-        """Unpack a ``TransactionId`` or ``(TransactionId, attempt)`` payload."""
-        if isinstance(payload, tuple):
-            return payload
-        return payload, None
-
-    def _dispatch_effects(self, now: float) -> None:
-        for effect in self._manager.drain_effects():
-            if isinstance(effect, GrantIssued):
+            raise SimulationError(f"queue manager received unknown message kind {kind!r}")
+        # Every effect becomes one message to the request's issuer.
+        for effect in manager.drain_effects():
+            effect_type = effect.__class__
+            request = effect.request
+            if effect_type is GrantIssued:
                 # Every granted request eventually produces exactly one normal
                 # grant (immediately, or later via promotion), so counting
                 # normal grants counts each granted request once.
                 if self._metrics is not None and effect.normal:
-                    self._metrics.record_grant(self._manager.copy, effect.request.op_type)
+                    self._metrics.record_grant(self._copy, request.op_type)
                 read_value = None
-                if effect.request.is_read and self._value_store is not None:
-                    read_value = self._value_store.read(self._manager.copy)
-                self._transport.send(
-                    self,
-                    effect.request.issuer,
-                    "grant",
-                    GrantDelivery(effect=effect, read_value=read_value),
-                )
-            elif isinstance(effect, BackoffIssued):
-                self._transport.send(self, effect.request.issuer, "backoff", effect)
-            elif isinstance(effect, RequestRejected):
-                self._transport.send(self, effect.request.issuer, "reject", effect)
+                if request.op_type is OperationType.READ and self._value_store is not None:
+                    read_value = self._value_store.read(self._copy)
+                payload = GrantDelivery(effect=effect, read_value=read_value)
+                self._transport.send(self, request.issuer, "grant", payload)
+            elif effect_type is BackoffIssued:
+                self._transport.send(self, request.issuer, "backoff", effect)
+            elif effect_type is RequestRejected:
+                self._transport.send(self, request.issuer, "reject", effect)
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown queue manager effect {effect!r}")

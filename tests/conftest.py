@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 import pytest
+from hypothesis import settings
 
 from repro.common.config import NetworkConfig, SystemConfig, WorkloadConfig
 from repro.common.ids import CopyId, RequestId, TransactionId
@@ -13,6 +14,10 @@ from repro.common.protocol_names import Protocol
 from repro.core.queue_manager import QueueManager
 from repro.core.requests import Request
 from repro.storage.log import ExecutionLog
+
+#: ``pytest --hypothesis-profile=qm-differential``: the long run of the queue
+#: manager's differential against the Section 4 reference (``make qm-differential``).
+settings.register_profile("qm-differential", max_examples=2000)
 
 
 def make_tid(site: int = 0, seq: int = 1) -> TransactionId:

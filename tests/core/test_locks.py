@@ -1,15 +1,20 @@
 """Lock modes, the semi-lock conflict relation, and the lock table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import CopyId, RequestId, TransactionId
 from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
 from repro.core.locks import LockMode, LockTable, requested_lock_mode
+from repro.core.queue_manager import QueueManager
 
+from tests.conftest import make_request
 
 COPY = CopyId(0, 0)
+OPS = ("grant", "grant", "release", "downgrade", "mark_normal", "crash")
 
 
 def rid(seq=1, index=0):
@@ -148,3 +153,70 @@ class TestLockTable:
         mine = table.locks_of(TransactionId(0, 1))
         assert len(mine) == 1
         assert mine[0].transaction == TransactionId(0, 1)
+
+
+class TestGrantOrderInvariant:
+    """``LockTable`` never sorts: its dicts' insertion order is grant order.
+
+    The queue manager relies on it for ``locks()``, the grant and promotion
+    tests, and the normality waits.  A model replays interleaved grants,
+    releases, downgrades, promotions to normal and crash-plus-restore
+    (a crash wipes the table; recovery re-grants prepared locks normal).
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 30)), max_size=60))
+    def test_locks_stay_in_grant_order_and_waits_in_downgrade_order(self, script):
+        table = LockTable(COPY)
+        downgraded = []  # model of awaiting_normal(): request ids in downgrade order
+        next_seq = 1
+        for op, pick in script:
+            held = table.locks()
+            target = held[pick % len(held)] if held else None
+            if op == "grant":
+                mode = (LockMode.READ, LockMode.WRITE)[pick % 2]
+                table.grant(rid(next_seq), TransactionId(0, next_seq), Protocol.TIMESTAMP_ORDERING,
+                            mode, time=float(next_seq), pre_scheduled=pick % 3 == 0)
+                next_seq += 1
+            elif op == "crash":
+                restored = [lock for lock in held if pick % 2 or lock.implemented]
+                table = LockTable(COPY)
+                downgraded = []
+                for lock in restored:
+                    table.grant(lock.request_id, lock.transaction, lock.protocol, lock.mode,
+                                time=lock.grant_time, pre_scheduled=False)
+            elif target is None:
+                continue
+            elif op == "release":
+                table.release(target.request_id)
+                if target.request_id in downgraded:
+                    downgraded.remove(target.request_id)
+            elif op == "downgrade":
+                table.downgrade(target)
+                if not target.normal_grant_sent and target.request_id not in downgraded:
+                    downgraded.append(target.request_id)
+            else:  # mark_normal
+                table.mark_normal(target)
+                if target.request_id in downgraded:
+                    downgraded.remove(target.request_id)
+            seqs = [lock.grant_seq for lock in table.locks()]
+            assert seqs == sorted(set(seqs))
+            assert [lock.request_id for lock in table.awaiting_normal()] == downgraded
+            assert table.pre_scheduled() == tuple(
+                lock for lock in table.locks() if not lock.normal_grant_sent
+            )
+
+    def test_restored_locks_follow_the_crash_in_grant_order(self):
+        manager = QueueManager(COPY)
+        first = make_request(tid=TransactionId(0, 1), op="r")
+        second = make_request(tid=TransactionId(0, 2), op="r")
+        manager.submit(first, 1.0)
+        manager.submit(second, 2.0)
+        manager.crash(3.0)
+        manager.restore_lock(second, 4.0)
+        manager.restore_lock(first, 5.0)
+        assert [lock.request_id for lock in manager.granted_locks()] == [
+            second.request_id,
+            first.request_id,
+        ]
+        assert [lock.grant_seq for lock in manager.granted_locks()] == [1, 2]
