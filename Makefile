@@ -2,7 +2,7 @@ PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test check-docs api-docs check-api-docs bench bench-smoke bench-baseline bench-gate memory-gate \
-	bench-ledger ledger-selftest ledger-digests ledger-panel qm-differential
+	bench-ledger ledger-selftest ledger-digests ledger-panel qm-differential trace-pin
 
 ## tier-1 verification gate
 test:
@@ -19,6 +19,15 @@ api-docs:
 ## fail if docs/api/ is stale relative to the source docstrings
 check-api-docs:
 	$(PY) tools/gen_api_docs.py --check
+
+## per-actor message-trace digests of every scenario (~1 s); `make trace-pin
+## ARGS=--write` re-pins them after a deliberate behaviour change
+trace-pin:
+ifeq ($(ARGS),--write)
+	$(PY) tests/system/test_message_traces.py --write
+else
+	$(PY) -m pytest tests/system/test_message_traces.py -q
+endif
 
 ## perf-regression gate: current hot paths vs BENCH_BASELINE.json (>2.5x fails)
 bench-gate:

@@ -120,7 +120,7 @@ class TwoPhaseCommit(CommitProtocol):
         execution.prepare_time = now
         new_values = coordinator.compute_write_values(execution)
         requests_by_site: Dict[SiteId, List] = {}
-        for state in execution.requests.values():
+        for state in execution.requests:
             requests_by_site.setdefault(state.request.copy.site, []).append(state.request)
         writes_by_site: Dict[SiteId, Dict] = {site: {} for site in requests_by_site}
         for item in execution.spec.write_items:
@@ -248,7 +248,7 @@ class TwoPhaseCommit(CommitProtocol):
             coordinator.record_outcome(execution)
             # The locks release at the participants when they apply the
             # decision; account their holding time up to the commit point.
-            for state in execution.requests.values():
+            for state in execution.requests:
                 if state.grant_time is not None:
                     coordinator.metrics.record_lock_time(
                         execution.protocol, now - state.grant_time, aborted=False
@@ -321,9 +321,7 @@ class TwoPhaseCommit(CommitProtocol):
         coordinator = self._coordinator
         now = coordinator.transport.now
         attempt = execution.attempt
-        participants = tuple(
-            sorted({state.request.copy.site for state in execution.requests.values()})
-        )
+        participants = tuple(sorted({copy.site for copy in execution.copies}))
         self._log_decision(
             execution.tid, attempt, CommitDecision.ABORT, now, participants
         )

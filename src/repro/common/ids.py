@@ -9,8 +9,7 @@ being folded into an opaque integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 #: Sites are numbered ``0 .. num_sites - 1``.
 SiteId = int
@@ -19,8 +18,7 @@ SiteId = int
 ItemId = int
 
 
-@dataclass(frozen=True, order=True)
-class TransactionId:
+class TransactionId(NamedTuple):
     """Globally unique transaction identifier.
 
     Ordering is lexicographic on ``(site, seq)``; the unified precedence rules
@@ -28,42 +26,32 @@ class TransactionId:
     works as long as it is consistent across sites.
 
     Identifiers are hashed millions of times per run (queue indices, wait-for
-    graphs, the conflict graph), so the hash is computed once at construction
-    instead of building a field tuple on every lookup.
+    graphs, the conflict graph), so all three id types are tuples: hashing,
+    equality and ordering run in C.  The hash is that of the field tuple.
+    Being tuples, ids of different types with equal fields compare and hash
+    equal (``CopyId(1, 2) == TransactionId(1, 2) == (1, 2)``), so no mapping,
+    set or queue may key two id types at once (DESIGN.md, "What a message
+    costs").
     """
 
     site: SiteId
     seq: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.site, self.seq)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __str__(self) -> str:
         return f"T{self.site}.{self.seq}"
 
 
-@dataclass(frozen=True, order=True)
-class CopyId:
+class CopyId(NamedTuple):
     """Identifier of a physical copy ``D_ij``: logical item ``item`` stored at ``site``."""
 
     item: ItemId
     site: SiteId
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.item, self.site)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __str__(self) -> str:
         return f"D{self.item}@{self.site}"
 
 
-@dataclass(frozen=True, order=True)
-class RequestId:
+class RequestId(NamedTuple):
     """Identifier of one physical-operation request sent to a queue manager.
 
     ``index`` is the position of the operation within its transaction; the
@@ -75,14 +63,6 @@ class RequestId:
     transaction: TransactionId
     index: int
     attempt: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.transaction, self.index, self.attempt))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.transaction}.op{self.index}#{self.attempt}"

@@ -114,7 +114,6 @@ class QueueManager:
         semi_locks_enabled: bool = True,
     ) -> None:
         self._copy = copy
-        self._copy_key = (copy.item, copy.site)
         self._log = execution_log if execution_log is not None else ExecutionLog()
         self._semi_locks_enabled = semi_locks_enabled
         self._plans = _PLANS[semi_locks_enabled]
@@ -216,7 +215,7 @@ class QueueManager:
     def submit(self, request: Request, now: float) -> None:
         """Handle the arrival of a new request (the paper's QM step 2(b)-(c))."""
         copy = request.copy
-        if copy is not self._copy and (copy.item, copy.site) != self._copy_key:
+        if copy != self._copy:
             raise ProtocolError(
                 f"request for {copy} submitted to the queue manager of {self._copy}"
             )

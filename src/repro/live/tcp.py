@@ -26,7 +26,6 @@ guarantee that the audit pipeline relies on.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import logging
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -277,7 +276,7 @@ class TcpTransport(Transport):
 
     def _deliver(self, actor: Actor, message: Message) -> None:
         try:
-            actor.handle(dataclasses.replace(message, deliver_time=self.now))
+            actor.handle(message.replace(deliver_time=self.now))
         except Exception as error:  # noqa: BLE001 - supervisor surfaces it
             logger.exception(
                 "%s: actor %s failed handling %r from %s",

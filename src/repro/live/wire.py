@@ -10,8 +10,10 @@ Tagging: JSON cannot carry tuples, enums, dataclasses or non-string
 dictionary keys, all of which the payload types use.  Every non-primitive
 value is wrapped in an object with a ``"__t"`` tag — ``"tuple"``,
 ``"dict"`` (encoded as a key/value pair list so keys may be any encodable
-value, e.g. ``CopyId``), an enum tag, or a registered dataclass name with
-its fields encoded recursively.  Decoding reverses the wrapping exactly,
+value, e.g. ``CopyId``), an enum tag, or a registered dataclass or id type
+name with its fields encoded recursively.  The id types are tuples, so they
+are matched by exact class before the generic tuple tag and decode to their
+own class, never to a plain tuple.  Decoding reverses the wrapping exactly,
 so ``decode(encode(x)) == x`` *and* ``encode(decode(b)) == b`` — the
 round-trip is byte-identical, which the Hypothesis property tests pin.
 
@@ -71,9 +73,6 @@ _LENGTH = struct.Struct(">I")
 _DATACLASSES: Dict[str, Type[Any]] = {
     cls.__name__: cls
     for cls in (
-        TransactionId,
-        CopyId,
-        RequestId,
         LogicalOperation,
         PhysicalOperation,
         Request,
@@ -94,6 +93,14 @@ _DATACLASSES: Dict[str, Type[Any]] = {
     )
 }
 
+#: The id types, keyed by their tag.  Ids are tuples, so they are told
+#: apart from plain tuples by exact class ahead of the generic tuple branch;
+#: their body is a field object, exactly as a dataclass's, and they decode
+#: to their own class.
+_IDS: Dict[str, Type[tuple]] = {
+    cls.__name__: cls for cls in (TransactionId, CopyId, RequestId)
+}
+
 #: Enums allowed on the wire, keyed by their tag (encoded by member name).
 _ENUMS: Dict[str, Type[enum.Enum]] = {
     cls.__name__: cls
@@ -110,7 +117,7 @@ def register_wire_dataclass(cls: Type[Any]) -> Type[Any]:
     """
     if not dataclasses.is_dataclass(cls):
         raise WireError(f"{cls!r} is not a dataclass")
-    existing = _DATACLASSES.get(cls.__name__)
+    existing = _DATACLASSES.get(cls.__name__, _IDS.get(cls.__name__))
     if existing is not None and existing is not cls:
         raise WireError(f"wire tag {cls.__name__!r} is already registered")
     _DATACLASSES[cls.__name__] = cls
@@ -128,6 +135,10 @@ def _encode(value: Any) -> Any:
             raise WireError(f"non-finite float {value!r} cannot go on the wire")
         return value
     if isinstance(value, tuple):
+        cls = type(value)
+        if _IDS.get(cls.__name__) is cls:
+            fields = {name: _encode(item) for name, item in zip(cls._fields, value)}
+            return {"__t": cls.__name__, "v": fields}
         return {"__t": "tuple", "v": [_encode(item) for item in value]}
     if isinstance(value, list):
         return {"__t": "list", "v": [_encode(item) for item in value]}
@@ -177,10 +188,10 @@ def _decode(value: Any) -> Any:
         enum_cls = _ENUMS.get(tag)
         if enum_cls is not None:
             return enum_cls[body]
-        data_cls = _DATACLASSES.get(tag)
+        data_cls = _DATACLASSES.get(tag) or _IDS.get(tag)
         if data_cls is not None:
             if not isinstance(body, dict):
-                raise WireError(f"dataclass body for {tag!r} is not an object")
+                raise WireError(f"record body for {tag!r} is not an object")
             return data_cls(**{str(name): _decode(item) for name, item in body.items()})
     except WireError:
         raise

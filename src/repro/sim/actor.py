@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.common.ids import SiteId
 
@@ -13,23 +12,8 @@ from repro.common.ids import SiteId
 _EMPTY_METADATA: Mapping[str, Any] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class Message:
-    """Envelope for one message exchanged between actors.
-
-    ``kind`` is a short string naming the message type (for example
-    ``"request"``, ``"grant"``, ``"backoff"``, ``"release"``); ``payload``
-    carries the typed body.  Sender/receiver names identify actors registered
-    with the :class:`repro.sim.network.Network`.
-
-    The envelope is frozen and ``metadata`` is defensively copied into a
-    read-only view at construction: one envelope may be held by a transport
-    queue, a trace hook and the receiving actor at once (and, in live mode,
-    by an outbound frame encoder), so a mutable envelope would let any one
-    holder silently change what the others observe.  Envelopes built without
-    metadata share one empty read-only view instead of each copying an empty
-    dict.
-    """
+class _Envelope(NamedTuple):
+    """The envelope's fields, in order; :class:`Message` adds the construction rules."""
 
     kind: str
     sender: str
@@ -37,11 +21,48 @@ class Message:
     payload: Any = None
     send_time: float = 0.0
     deliver_time: float = 0.0
-    metadata: Mapping[str, Any] = field(default_factory=lambda: _EMPTY_METADATA)
+    metadata: Mapping[str, Any] = _EMPTY_METADATA
 
-    def __post_init__(self) -> None:
-        if self.metadata is not _EMPTY_METADATA:
-            object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+
+class Message(_Envelope):
+    """Envelope for one message exchanged between actors.
+
+    ``kind`` is a short string naming the message type (for example
+    ``"request"``, ``"grant"``, ``"backoff"``, ``"release"``); ``payload``
+    carries the typed body.  Sender/receiver names identify actors registered
+    with the :class:`repro.sim.network.Network`.
+
+    The envelope is an immutable tuple (assigning a field raises
+    ``AttributeError``; one is built per send, so construction is a single
+    call) and ``metadata`` is defensively copied into a read-only view at
+    construction: one envelope may be held by a transport queue, a trace
+    hook and the receiving actor at once (and, in live mode, by an outbound
+    frame encoder), so a mutable envelope would let any one holder silently
+    change what the others observe.  Envelopes built without metadata share
+    one empty read-only view instead of each copying an empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        sender: str,
+        receiver: str,
+        payload: Any = None,
+        send_time: float = 0.0,
+        deliver_time: float = 0.0,
+        metadata: Mapping[str, Any] = _EMPTY_METADATA,
+    ) -> "Message":
+        if metadata is not _EMPTY_METADATA:
+            metadata = MappingProxyType(dict(metadata))
+        return tuple.__new__(
+            cls, (kind, sender, receiver, payload, send_time, deliver_time, metadata)
+        )
+
+    def replace(self, **changes: Any) -> "Message":
+        """A copy with ``changes`` applied; new metadata is copied as at construction."""
+        return Message(*self._replace(**changes))
 
 
 class Actor:

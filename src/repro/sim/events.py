@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
@@ -32,7 +31,6 @@ from repro.common.errors import SimulationError
 _COMPACT_MIN_SIZE = 64
 
 
-@dataclass(eq=False)
 class Event:
     """One scheduled callback.
 
@@ -41,16 +39,28 @@ class Event:
     same instant fire in scheduling order, which keeps runs deterministic.
     The record itself is not orderable: the queue heaps plain
     ``(time, priority, seq, event)`` tuples, which compare in C and — ``seq``
-    being unique — never reach the event.
+    being unique — never reach the event.  Events compare by identity, and
+    the record is slotted: one is built per scheduled callback.
     """
 
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[[], None]
-    label: str = ""
-    cancelled: bool = False
-    _queue: Optional["EventQueue"] = field(default=None, repr=False)
+    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled", "_queue")
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        seq: int,
+        callback: Callable[[], None],
+        label: str,
+        queue: "EventQueue",
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
+        self._queue: Optional["EventQueue"] = queue
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when it reaches the head."""
@@ -91,7 +101,7 @@ class EventQueue:
         """
         if seq is None:
             seq = next(self._counter)
-        event = Event(time, priority, seq, callback, label, _queue=self)
+        event = Event(time, priority, seq, callback, label, self)
         heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event

@@ -22,7 +22,6 @@ communication cost was paid — and recorded in the drop counters).
 
 from __future__ import annotations
 
-from collections import Counter as CollectionsCounter
 from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -53,19 +52,29 @@ class Network:
                 "decouple the message delays from the run seed"
             )
         self._simulator = simulator
+        # The simulator's event list: send pushes deliveries onto it directly.
+        self._events = simulator._queue
         self._config = config or NetworkConfig()
         self._rng = rng
         self._faults = faults
+        # The remote-delay draw, bound once: the same stream and the same
+        # expovariate call RandomStreams.exponential makes, at a rate computed
+        # once (None when the variable delay is 0: then nothing is drawn).
+        variable_delay = self._config.variable_delay
+        self._draw_delay = (
+            rng.stream("network-delay").expovariate if variable_delay > 0 else None
+        )
+        self._delay_rate = 1.0 / variable_delay if variable_delay > 0 else 0.0
         self._actors: Dict[str, Actor] = {}
         # Per-(sender, receiver) channels are FIFO: a message never overtakes an
         # earlier message on the same channel, mirroring a reliable transport.
         self._channel_clock: Dict[tuple, float] = {}
         self._messages_sent = 0
-        self._messages_by_kind: CollectionsCounter = CollectionsCounter()
+        self._messages_by_kind: Dict[str, int] = {}
         self._remote_messages = 0
         self._local_messages = 0
         self._messages_dropped = 0
-        self._dropped_by_kind: CollectionsCounter = CollectionsCounter()
+        self._dropped_by_kind: Dict[str, int] = {}
 
     @property
     def simulator(self) -> Simulator:
@@ -140,35 +149,40 @@ class Network:
         dropped instead of delivered.
 
         This is the hottest path of every run, so it looks the receiver up
-        once, reads the clock once and draws the latency inline (the same
-        draw :meth:`latency` makes).
+        once, reads the clock once, draws the latency inline (the same draw
+        :meth:`latency` makes) and pushes the delivery straight onto the
+        event list, with the check :meth:`Simulator.schedule` would make.
         """
         receiver = self._actors.get(receiver_name)
         if receiver is None:
             raise SimulationError(f"no actor named {receiver_name!r} is registered")
-        now = self._simulator.now
+        now = self._simulator._now
+        config = self._config
         faults = self._faults
         if sender.site == receiver.site:
-            latency = self._config.local_delay
+            latency = config.local_delay
             self._local_messages += 1
         else:
-            latency = self._config.fixed_delay + self._rng.exponential(
-                "network-delay", self._config.variable_delay
+            draw = self._draw_delay
+            latency = config.fixed_delay + (
+                draw(self._delay_rate) if draw is not None else 0.0
             )
             if faults is not None:
                 latency *= faults.delay_multiplier(sender.site, receiver.site, now)
             self._remote_messages += 1
         delay = latency + extra_delay
-        channel = (sender.name, receiver_name)
+        sender_name = sender.name
+        channel = (sender_name, receiver_name)
         deliver_time = now + delay
         previous = self._channel_clock.get(channel)
         if previous is not None and deliver_time <= previous:
             deliver_time = previous + 1e-12
             delay = deliver_time - now
         self._channel_clock[channel] = deliver_time
-        message = Message(kind, sender.name, receiver_name, payload, now, deliver_time)
+        message = Message(kind, sender_name, receiver_name, payload, now, deliver_time)
         self._messages_sent += 1
-        self._messages_by_kind[kind] += 1
+        by_kind = self._messages_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
         if faults is not None and (
             (receiver.crashable and not faults.site_up(receiver.site, deliver_time))
             or (
@@ -177,12 +191,14 @@ class Network:
             )
         ):
             self._messages_dropped += 1
-            self._dropped_by_kind[kind] += 1
+            self._dropped_by_kind[kind] = self._dropped_by_kind.get(kind, 0) + 1
             return message
-        self._simulator.schedule(
-            delay,
+        if delay < 0:
+            raise SimulationError(f"cannot schedule an event {delay} time units in the past")
+        self._events.push(
+            now + delay,
             partial(receiver.handle, message),
-            label=f"{kind}:{sender.name}->{receiver_name}",
+            label=f"{kind}:{sender_name}->{receiver_name}",
         )
         return message
 
@@ -206,5 +222,5 @@ class Network:
         if count < 0:
             raise SimulationError("overhead message count must be non-negative")
         self._messages_sent += count
-        self._messages_by_kind[kind] += count
+        self._messages_by_kind[kind] = self._messages_by_kind.get(kind, 0) + count
         self._remote_messages += count

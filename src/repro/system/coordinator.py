@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.commit.base import CommitProtocol, create_commit_protocol
 from repro.common.config import CommitConfig
 from repro.common.errors import SimulationError
 from repro.common.ids import CopyId, RequestId, SiteId, TransactionId
-from repro.common.operations import PhysicalOperation
+from repro.common.operations import OperationType, PhysicalOperation
 from repro.common.protocol_names import Protocol
 from repro.common.transactions import TransactionOutcome, TransactionSpec, TransactionStatus
 from repro.core.effects import BackoffIssued, GrantIssued, RequestRejected
@@ -105,28 +106,51 @@ class _RequestPhase(enum.Enum):
     GRANTED = "granted"          # lock held (pre-scheduled or normal)
 
 
-@dataclass
 class RequestState:
     """Book-keeping for one physical request of the current attempt."""
 
-    request: Request
-    phase: _RequestPhase = _RequestPhase.WAITING
-    normal_grant: bool = False
-    backoff_timestamp: Optional[float] = None
-    grant_time: Optional[float] = None
+    __slots__ = ("request", "phase", "normal_grant", "backoff_timestamp", "grant_time")
+
+    def __init__(self, request: Request) -> None:
+        self.request = request
+        self.phase = _RequestPhase.WAITING
+        self.normal_grant = False
+        self.backoff_timestamp: Optional[float] = None
+        self.grant_time: Optional[float] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionExecution:
-    """Dynamic state of one transaction at its coordinator."""
+    """Dynamic state of one transaction at its coordinator.
+
+    The *plan* — ``physical_operations``, ``copies`` and ``queue_managers``,
+    index-aligned, one request per distinct copy in copy order — is
+    translated once per transaction: the catalog is static and reads go to
+    the nearest copy, so every attempt issues the same requests.
+    ``requests`` holds the current attempt's states in the same order, and
+    the four counters are kept exact at every phase change, so the progress
+    rules never walk the requests.
+    """
 
     spec: TransactionSpec
     protocol: Protocol
     timestamp: float
     attempt: int = 0
     status: TransactionStatus = TransactionStatus.PENDING
-    requests: Dict[RequestId, RequestState] = field(default_factory=dict)
     physical_operations: Tuple[PhysicalOperation, ...] = ()
+    copies: Tuple[CopyId, ...] = ()
+    queue_managers: Tuple[str, ...] = ()
+    reads: int = 0
+    writes: int = 0
+    requests: List[RequestState] = field(default_factory=list)
+    #: Requests of the current attempt with neither a grant nor a back-off.
+    waiting: int = 0
+    #: Requests of the current attempt holding a PA back-off proposal.
+    backed_off: int = 0
+    #: Requests of the current attempt holding their lock.
+    granted: int = 0
+    #: Requests of the current attempt that received their normal grant.
+    normal: int = 0
     restarts: int = 0
     deadlock_aborts: int = 0
     backoff_rounds: int = 0
@@ -142,35 +166,11 @@ class TransactionExecution:
         """The transaction's globally unique id."""
         return self.spec.tid
 
-    def copies(self) -> Tuple[CopyId, ...]:
-        """Distinct copies touched by the current attempt."""
-        return tuple(sorted({operation.copy for operation in self.physical_operations}))
-
-    def all_granted(self) -> bool:
-        """Whether every outstanding request holds its lock."""
-        return all(state.phase is _RequestPhase.GRANTED for state in self.requests.values())
-
-    def all_normal(self) -> bool:
-        """Whether every request has received its *normal* (non-pre-scheduled) grant."""
-        return all(state.normal_grant for state in self.requests.values())
-
-    def any_waiting(self) -> bool:
-        """Whether any request has neither a grant nor a back-off yet."""
-        return any(state.phase is _RequestPhase.WAITING for state in self.requests.values())
-
-    def backed_off_states(self) -> List[RequestState]:
-        """The requests currently holding a PA back-off proposal."""
-        return [
-            state
-            for state in self.requests.values()
-            if state.phase is _RequestPhase.BACKED_OFF
-        ]
-
     def any_pre_scheduled(self) -> bool:
         """True when some granted lock has not (yet) received its normal grant."""
         return any(
             state.phase is _RequestPhase.GRANTED and not state.normal_grant
-            for state in self.requests.values()
+            for state in self.requests
         )
 
 
@@ -327,7 +327,7 @@ class RequestIssuerActor(Actor):
             self._uncommitted -= 1
             if self._audit_stream is not None:
                 self._audit_stream.note_commit(
-                    execution.tid, execution.attempt, execution.copies()
+                    execution.tid, execution.attempt, execution.copies
                 )
 
     def compute_write_values(self, execution: TransactionExecution) -> Dict[int, Any]:
@@ -363,8 +363,8 @@ class RequestIssuerActor(Actor):
         )
         if needs_semi:
             execution.awaiting_final_release = True
-            for copy in execution.copies():
-                self._transport.send(self, queue_manager_name(copy), "downgrade", execution.tid)
+            for queue_manager in execution.queue_managers:
+                self._transport.send(self, queue_manager, "downgrade", execution.tid)
             if self._request_timeout is not None:
                 # Fault-model watchdog: a crashed site wipes the pre-scheduled
                 # lock whose normal grant this wait depends on, so the wait
@@ -372,9 +372,7 @@ class RequestIssuerActor(Actor):
                 # locks at every healthy site.
                 self._transport.schedule(
                     self._request_timeout,
-                    lambda attempt=execution.attempt: self._on_release_timeout(
-                        execution, attempt
-                    ),
+                    partial(self._on_release_timeout, execution, execution.attempt),
                     label=f"release-timeout-{execution.tid}",
                     site=self.site,
                 )
@@ -426,6 +424,7 @@ class RequestIssuerActor(Actor):
         execution = TransactionExecution(
             spec=spec, protocol=protocol, timestamp=self._new_timestamp(now)
         )
+        self._plan(execution)
         self._executions[spec.tid] = execution
         self._uncommitted += 1
         self._protocol_registry[spec.tid] = protocol
@@ -468,9 +467,7 @@ class RequestIssuerActor(Actor):
         execution = self._executions.get(tid)
         if execution is None:
             return 0
-        return sum(
-            1 for state in execution.requests.values() if state.phase is _RequestPhase.GRANTED
-        )
+        return execution.granted
 
     def abort_victim(self, tid: TransactionId) -> None:
         """Abort ``tid`` as a deadlock victim (invoked via the detector's message)."""
@@ -545,7 +542,7 @@ class RequestIssuerActor(Actor):
                 self._metrics.record_coordinator_redrive()
                 self._transport.schedule(
                     self._restart_delay,
-                    lambda execution=execution: self._restart(execution),
+                    partial(self._restart, execution),
                     label=f"restart-{execution.tid}",
                     site=self.site,
                 )
@@ -595,30 +592,45 @@ class RequestIssuerActor(Actor):
         self._timestamp_counter += 1
         return now + self._timestamp_counter * 1e-9
 
+    def _plan(self, execution: TransactionExecution) -> None:
+        """Translate the transaction once: the plan every attempt issues."""
+        operations = self._translate(execution.spec)
+        execution.physical_operations = tuple(operations)
+        execution.copies = tuple(operation.copy for operation in operations)
+        execution.queue_managers = tuple(
+            queue_manager_name(copy) for copy in execution.copies
+        )
+        execution.reads = sum(1 for operation in operations if operation.is_read)
+        execution.writes = len(operations) - execution.reads
+
     def _start_attempt(self, execution: TransactionExecution) -> None:
         self.transition(execution, TransactionStatus.REQUESTING)
-        execution.requests = {}
-        execution.physical_operations = tuple(self._translate(execution.spec))
-        self._metrics.record_attempt(execution.protocol)
+        tid = execution.tid
+        attempt = execution.attempt
+        protocol = execution.protocol
+        self._metrics.record_attempt(protocol, execution.reads, execution.writes)
+        states: List[RequestState] = []
+        execution.requests = states
+        execution.waiting = len(execution.physical_operations)
+        execution.backed_off = execution.granted = execution.normal = 0
         for index, operation in enumerate(execution.physical_operations):
             request = Request(
-                request_id=RequestId(execution.tid, index, execution.attempt),
-                transaction=execution.tid,
-                protocol=execution.protocol,
+                request_id=RequestId(tid, index, attempt),
+                transaction=tid,
+                protocol=protocol,
                 op_type=operation.op_type,
                 copy=operation.copy,
                 timestamp=execution.timestamp,
                 backoff_interval=self._pa_backoff_interval,
                 issuer=self.name,
             )
-            execution.requests[request.request_id] = RequestState(request=request)
-            self._metrics.record_request_issued(execution.protocol, operation.op_type)
-            self._transport.send(self, queue_manager_name(operation.copy), "request", request)
+            states.append(RequestState(request))
+            self._transport.send(self, execution.queue_managers[index], "request", request)
         if self._request_timeout is not None:
             self._transport.schedule(
                 self._request_timeout,
-                lambda attempt=execution.attempt: self._on_request_timeout(execution, attempt),
-                label=f"request-timeout-{execution.tid}",
+                partial(self._on_request_timeout, execution, attempt),
+                label=f"request-timeout-{tid}",
                 site=self.site,
             )
 
@@ -657,13 +669,13 @@ class RequestIssuerActor(Actor):
 
     def _abort_attempt(self, execution: TransactionExecution, due_to_deadlock: bool) -> None:
         now = self._transport.now
-        for state in execution.requests.values():
+        for state in execution.requests:
             if state.phase is _RequestPhase.GRANTED and state.grant_time is not None:
                 self._metrics.record_lock_time(
                     execution.protocol, now - state.grant_time, aborted=True
                 )
-        for copy in execution.copies():
-            self._transport.send(self, queue_manager_name(copy), "abort", execution.tid)
+        for queue_manager in execution.queue_managers:
+            self._transport.send(self, queue_manager, "abort", execution.tid)
         self.transition(execution, TransactionStatus.ABORTED)
         if due_to_deadlock:
             execution.deadlock_aborts += 1
@@ -672,7 +684,7 @@ class RequestIssuerActor(Actor):
         self._metrics.record_restart(execution.protocol, due_to_deadlock)
         self._transport.schedule(
             self._restart_delay,
-            lambda: self._restart(execution),
+            partial(self._restart, execution),
             label=f"restart-{execution.tid}",
             site=self.site,
         )
@@ -718,12 +730,10 @@ class RequestIssuerActor(Actor):
         execution = self._executions.get(request.transaction)
         if execution is None:
             return None
-        if request.request_id.attempt != execution.attempt:
+        request_id = request.request_id
+        if request_id.attempt != execution.attempt:
             return None            # stale message from a previous attempt
-        state = execution.requests.get(request.request_id)
-        if state is None:
-            return None
-        return execution, state
+        return execution, execution.requests[request_id.index]
 
     def _on_grant(self, effect: GrantIssued, read_value: Any = None) -> None:
         found = self._lookup(effect.request)
@@ -732,15 +742,23 @@ class RequestIssuerActor(Actor):
         execution, state = found
         if execution.status is TransactionStatus.ABORTED:
             return
-        if state.phase is not _RequestPhase.GRANTED:
+        phase = state.phase
+        if phase is not _RequestPhase.GRANTED:
+            if phase is _RequestPhase.WAITING:
+                execution.waiting -= 1
+            else:
+                execution.backed_off -= 1
             state.phase = _RequestPhase.GRANTED
+            execution.granted += 1
             state.grant_time = self._transport.now
-            if effect.request.is_read:
+            request = effect.request
+            if request.op_type is OperationType.READ:
                 # The value attached to the grant is what the read observed;
                 # keep the first copy (later "normal" re-grants carry no data).
-                execution.read_values.setdefault(effect.request.copy.item, read_value)
-        if effect.normal:
+                execution.read_values.setdefault(request.copy.item, read_value)
+        if effect.normal and not state.normal_grant:
             state.normal_grant = True
+            execution.normal += 1
         self._advance(execution)
 
     def _on_backoff(self, effect: BackoffIssued) -> None:
@@ -750,7 +768,14 @@ class RequestIssuerActor(Actor):
         execution, state = found
         if execution.status is TransactionStatus.ABORTED:
             return
-        state.phase = _RequestPhase.BACKED_OFF
+        phase = state.phase
+        if phase is not _RequestPhase.BACKED_OFF:
+            if phase is _RequestPhase.WAITING:
+                execution.waiting -= 1
+            else:
+                execution.granted -= 1
+            state.phase = _RequestPhase.BACKED_OFF
+            execution.backed_off += 1
         state.backoff_timestamp = effect.new_timestamp
         if effect.new_timestamp is not None and effect.new_timestamp > effect.request.timestamp:
             # Only a proposal above the transaction's own timestamp is a true
@@ -775,22 +800,25 @@ class RequestIssuerActor(Actor):
 
     def _advance(self, execution: TransactionExecution) -> None:
         """Apply the protocol's progress rule after any state change."""
-        if execution.status in (TransactionStatus.REQUESTING, TransactionStatus.BACKING_OFF):
-            if execution.all_granted():
+        status = execution.status
+        if status is TransactionStatus.REQUESTING or status is TransactionStatus.BACKING_OFF:
+            if execution.granted == len(execution.requests):
                 self._begin_execution(execution)
-                return
-            if execution.protocol.is_precedence_agreement and not execution.any_waiting():
-                backed_off = execution.backed_off_states()
-                if backed_off:
-                    self._run_backoff_round(execution, backed_off)
+            elif (
+                execution.protocol.is_precedence_agreement
+                and not execution.waiting
+                and execution.backed_off
+            ):
+                self._run_backoff_round(execution)
             return
-        if execution.awaiting_final_release and execution.all_normal():
+        if execution.awaiting_final_release and execution.normal == len(execution.requests):
             self._final_release(execution)
 
-    def _run_backoff_round(
-        self, execution: TransactionExecution, backed_off: List[RequestState]
-    ) -> None:
+    def _run_backoff_round(self, execution: TransactionExecution) -> None:
         """PA timestamp agreement: adopt the maximum proposal and broadcast the confirmation."""
+        backed_off = [
+            state for state in execution.requests if state.phase is _RequestPhase.BACKED_OFF
+        ]
         agreed = max(
             [execution.timestamp]
             + [
@@ -808,9 +836,11 @@ class RequestIssuerActor(Actor):
         for state in backed_off:
             state.phase = _RequestPhase.WAITING
             state.backoff_timestamp = None
-        for copy in execution.copies():
+        execution.waiting += len(backed_off)
+        execution.backed_off = 0
+        for queue_manager in execution.queue_managers:
             self._transport.send(
-                self, queue_manager_name(copy), "update_ts", (execution.tid, agreed)
+                self, queue_manager, "update_ts", (execution.tid, agreed)
             )
 
     def _begin_execution(self, execution: TransactionExecution) -> None:
@@ -819,7 +849,7 @@ class RequestIssuerActor(Actor):
         duration = execution.spec.compute_time + self._io_time * len(execution.physical_operations)
         self._transport.schedule(
             duration,
-            lambda attempt=execution.attempt: self._complete_execution(execution, attempt),
+            partial(self._complete_execution, execution, execution.attempt),
             label=f"execute-{execution.tid}",
             site=self.site,
         )
@@ -858,13 +888,13 @@ class RequestIssuerActor(Actor):
         self._commit.begin_commit(execution)
 
     def _final_release(self, execution: TransactionExecution) -> None:
+        """Release every lock: one walk records each hold time and sends the release."""
         now = self._transport.now
         execution.awaiting_final_release = False
-        for state in execution.requests.values():
+        for state, queue_manager in zip(execution.requests, execution.queue_managers):
             if state.grant_time is not None:
                 self._metrics.record_lock_time(
                     execution.protocol, now - state.grant_time, aborted=False
                 )
-        for copy in execution.copies():
-            self._transport.send(self, queue_manager_name(copy), "release", execution.tid)
+            self._transport.send(self, queue_manager, "release", execution.tid)
         self.transition(execution, TransactionStatus.FINISHED)

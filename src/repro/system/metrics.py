@@ -137,9 +137,16 @@ class MetricsCollector:
         if self._first_arrival is None or arrival_time < self._first_arrival:
             self._first_arrival = arrival_time
 
-    def record_attempt(self, protocol: Protocol) -> None:
-        """Count one execution attempt of a ``protocol`` transaction."""
-        self._by_protocol[protocol].attempts += 1
+    def record_attempt(self, protocol: Protocol, reads: int = 0, writes: int = 0) -> None:
+        """Count one execution attempt of a ``protocol`` transaction.
+
+        ``reads`` and ``writes`` are the read and write requests the attempt
+        issues, counted in the same call.
+        """
+        stats = self._by_protocol[protocol]
+        stats.attempts += 1
+        stats.read_requests += reads
+        stats.write_requests += writes
 
     def record_request_issued(self, protocol: Protocol, op_type: OperationType) -> None:
         """Count one issued read/write request for ``protocol``."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.common.errors import SimulationError
-from repro.common.ids import CopyId
+from repro.common.ids import CopyId, TransactionId
 from repro.common.operations import OperationType
 from repro.core.effects import BackoffIssued, GrantIssued, RequestRejected
 from repro.core.queue_manager import QueueManager
@@ -99,11 +99,13 @@ class QueueManagerActor(Actor):
         elif kind == "downgrade":
             manager.downgrade(payload, now)
         elif kind == "release" or kind == "commit_release" or kind == "abort":
-            # A ``TransactionId`` or ``(TransactionId, attempt)`` payload.
-            if isinstance(payload, tuple):
-                transaction, attempt = payload
-            else:
+            # A ``TransactionId`` or a ``(TransactionId, attempt)`` pair.  Ids
+            # are tuples too, so the test is on the exact class: a bare id
+            # unpacked as a pair would read ``(site, seq)`` as ``(tid, attempt)``.
+            if payload.__class__ is TransactionId:
                 transaction, attempt = payload, None
+            else:
+                transaction, attempt = payload
             if kind == "release":
                 manager.release(transaction, now, attempt)
             elif kind == "commit_release":

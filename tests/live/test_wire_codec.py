@@ -6,11 +6,15 @@ the incremental :class:`~repro.live.wire.FrameDecoder` must tolerate the
 stream being split at any byte boundary — exactly what a TCP receiver sees.
 Hypothesis drives both properties over the full set of registered payload
 types (ids, requests, commit messages, specs, tuples, and dicts keyed by
-non-string values such as ``CopyId``).
+non-string values such as ``CopyId``).  The id types are tuples, so a
+further property walks every decoded value and checks that each id — bare,
+nested in a container, a dict key, or a field of a registered payload —
+comes back as its exact class and not as a plain tuple.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -41,9 +45,11 @@ from repro.live.wire import (
     WireError,
     decode_frame_body,
     encode_message,
+    register_wire_dataclass,
 )
 from repro.sim.actor import Message
 from repro.storage.log import CommitDecision, LogEntry
+from repro.system.queue_manager_actor import GrantDelivery
 
 # ---------------------------------------------------------------------------
 # Strategies over the registered wire types
@@ -178,6 +184,25 @@ payloads = st.one_of(
     ),
 )
 
+grant_deliveries = st.builds(GrantDelivery, effect=grants, read_value=values)
+
+#: Ids nested in every container the codec tags: tuples, lists, dict keys
+#: (one id type per dict, as in the system), the ``(tid, attempt)`` pair —
+#: next to plain int pairs, which must stay plain tuples.
+ids = st.one_of(tids, copies, request_ids)
+nested_ids = st.recursive(
+    st.one_of(ids, st.tuples(st.integers(0, 9), st.integers(0, 9))),
+    lambda children: st.one_of(
+        st.tuples(children, children),
+        st.tuples(tids, attempts),
+        st.lists(children, max_size=3),
+        st.dictionaries(tids, children, max_size=3),
+        st.dictionaries(copies, children, max_size=3),
+        st.dictionaries(request_ids, children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
 messages = st.builds(
     Message,
     kind=names,
@@ -239,6 +264,57 @@ class TestRoundTrip:
         decoder.check_eof()
         assert len(received) == 1
         assert_same_message(received[0], message)
+
+
+def assert_same_classes(left, right) -> None:
+    """``left`` and ``right`` agree in exact class at every level.
+
+    Ids are tuples, so ``==`` alone cannot tell a decoded ``TransactionId``
+    from a plain ``(site, seq)`` tuple; this walk can.
+    """
+    assert type(left) is type(right), (left, right)
+    if isinstance(left, (tuple, list)):
+        assert len(left) == len(right)
+        for mine, theirs in zip(left, right):
+            assert_same_classes(mine, theirs)
+    elif isinstance(left, dict):
+        assert len(left) == len(right)
+        for (key, value), (other_key, other_value) in zip(left.items(), right.items()):
+            assert_same_classes(key, other_key)
+            assert_same_classes(value, other_value)
+    elif dataclasses.is_dataclass(left):
+        for field in dataclasses.fields(left):
+            assert_same_classes(getattr(left, field.name), getattr(right, field.name))
+
+
+class TestIdsKeepTheirClass:
+    """Ids decode to their exact class wherever they sit in a payload."""
+
+    @given(payload=st.one_of(nested_ids, payloads, grant_deliveries))
+    @settings(max_examples=300, deadline=None)
+    def test_decoded_values_keep_their_exact_class(self, payload) -> None:
+        frame = encode_message(Message("k", "a", "b", payload=payload))
+        decoded = decode_frame_body(frame[4:]).payload
+        assert decoded == payload
+        assert_same_classes(decoded, payload)
+        assert encode_message(Message("k", "a", "b", payload=decoded)) == frame
+
+    def test_ids_and_plain_tuples_are_told_apart(self) -> None:
+        payload = (TransactionId(0, 7), (0, 7), CopyId(0, 7), {TransactionId(1, 2): (1, 2)})
+        decoded = decode_frame_body(
+            encode_message(Message("k", "a", "b", payload=payload))[4:]
+        ).payload
+        assert [type(item) for item in decoded] == [TransactionId, tuple, CopyId, dict]
+        assert type(next(iter(decoded[3]))) is TransactionId
+        assert type(decoded[3][TransactionId(1, 2)]) is tuple
+
+    def test_an_id_type_cannot_be_shadowed_by_a_dataclass(self) -> None:
+        @dataclasses.dataclass
+        class TransactionId:  # noqa: F811 - deliberately the same tag
+            site: int
+
+        with pytest.raises(WireError, match="already registered"):
+            register_wire_dataclass(TransactionId)
 
 
 class TestMalformedFrames:
@@ -358,3 +434,18 @@ class TestMessageEnvelope:
         source["hop"] = 99
         source["extra"] = True
         assert dict(message.metadata) == {"hop": 1}
+
+    def test_replace_copies_with_a_change(self) -> None:
+        message = Message("k", "a", "b", payload=1, metadata={"hop": 1})
+        moved = message.replace(deliver_time=2.5)
+        assert type(moved) is Message
+        assert (moved.kind, moved.payload, moved.deliver_time) == ("k", 1, 2.5)
+        assert message.deliver_time == 0.0
+        source = {"hop": 2}
+        changed = message.replace(metadata=source)
+        source["hop"] = 99
+        assert dict(changed.metadata) == {"hop": 2}
+        with pytest.raises(TypeError):
+            changed.metadata["hop"] = 3
+        bare = Message("k", "a", "b")
+        assert bare.replace(deliver_time=1.0).metadata is bare.metadata

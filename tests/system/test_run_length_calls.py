@@ -1,7 +1,9 @@
 """Run-length gates for time, counted in Python calls.
 
-Calls per committed transaction stay flat with run length, and the queue
-manager's calls per handled message stay under a fixed ceiling.
+Calls per committed transaction stay flat with run length; a whole run's
+calls per committed transaction, the queue manager's calls per handled
+message and the coordinator's calls per handled message stay under fixed
+ceilings.
 
 A term that grows with the run — a walk over every transaction ever
 submitted on each deadlock scan, a list scanned per commit — makes the cost
@@ -19,6 +21,8 @@ from repro.common.config import ProtocolMix
 from repro.common.ids import CopyId, TransactionId
 from repro.common.protocol_names import Protocol
 from repro.core.queue_manager import QueueManager
+from repro.system import coordinator
+from repro.system.coordinator import RequestIssuerActor
 from repro.system.database import DistributedDatabase
 from repro.system.queue_manager_actor import QueueManagerActor
 from repro.workload.generator import TransactionGenerator
@@ -110,6 +114,112 @@ def _queue_manager_calls_per_message():
 def test_queue_manager_calls_per_message_stay_lean():
     per_message = _queue_manager_calls_per_message()
     assert per_message <= QUEUE_MANAGER_CALLS_CEILING, per_message
+
+
+#: Python calls per committed transaction over a whole ``run()`` on
+#: ``zipf-hotspot`` (2PL+PA, 300 transactions), measured on CPython 3.11:
+#: event loop, every actor, the audit and the result assembly.  With the id
+#: types as frozen dataclasses (a Python-level ``__hash__`` on every lookup)
+#: it was 866; before the coordinator planned once per transaction and the
+#: envelope became a tuple, 1,036.
+WHOLE_RUN_CALLS_MEASURED = 638.7
+
+#: The gate: the measured value plus 10%.  It guards the per-message constant
+#: of every layer at once — no Python-level id hash, per-message record or
+#: per-attempt walk creeping back — and is not a speed-up claim.
+WHOLE_RUN_CALLS_CEILING = WHOLE_RUN_CALLS_MEASURED * 1.10
+
+#: ``zipf-hotspot``'s T/O-heavy mix: two thirds T/O, the rest split evenly.
+#: T/O rejections restart each transaction about four times here, so the
+#: per-attempt path weighs as much as the per-message one.
+TO_HEAVY = ProtocolMix(
+    {
+        Protocol.TWO_PHASE_LOCKING: 1.0,
+        Protocol.TIMESTAMP_ORDERING: 4.0,
+        Protocol.PRECEDENCE_AGREEMENT: 1.0,
+    }
+)
+
+#: Python calls made by the coordinator per message it handles, on
+#: ``zipf-hotspot`` under :data:`TO_HEAVY` (300 transactions), measured on
+#: CPython 3.11.  The count covers every call made while a frame of
+#: ``repro/system/coordinator.py`` is on the stack — message handlers,
+#: arrivals, restart and execution timers, and what they call out to (the
+#: commit layer, the network send, metrics).  Translating the spec on every
+#: attempt made it 49.1; a frozen-dataclass envelope, 37.1.
+COORDINATOR_CALLS_MEASURED = 32.94
+
+#: The gate: the measured value plus 10%.  It guards the coordinator's shape
+#: — one plan per transaction, counters instead of walks, a one-call
+#: envelope — and is not a speed-up claim.
+COORDINATOR_CALLS_CEILING = COORDINATOR_CALLS_MEASURED * 1.10
+
+
+def _zipf_hotspot(mix):
+    scenario = get_scenario("zipf-hotspot").configured(transactions=BASE_TRANSACTIONS)
+    workload = scenario.workload.with_overrides(protocol_mix=mix)
+    specs = TransactionGenerator(scenario.system, workload).generate()
+    database = DistributedDatabase(scenario.system)
+    database.load_workload(specs, workload)
+    return database
+
+
+def _whole_run_calls_per_committed():
+    database = _zipf_hotspot(
+        ProtocolMix({Protocol.TWO_PHASE_LOCKING: 1.0, Protocol.PRECEDENCE_AGREEMENT: 1.0})
+    )
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = database.run()
+    finally:
+        sys.setprofile(None)
+    assert result.committed == result.submitted == BASE_TRANSACTIONS
+    return calls / result.committed
+
+
+def test_whole_run_calls_per_transaction_stay_lean():
+    per_transaction = _whole_run_calls_per_committed()
+    assert per_transaction <= WHOLE_RUN_CALLS_CEILING, per_transaction
+
+
+def _coordinator_calls_per_message():
+    database = _zipf_hotspot(TO_HEAVY)
+    coordinator_file = coordinator.__file__
+    handle_code = RequestIssuerActor.handle.__code__
+    depth = messages = calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal depth, messages, calls
+        if event == "call":
+            code = frame.f_code
+            if code is handle_code:
+                messages += 1
+            if depth or code.co_filename == coordinator_file:
+                depth += 1
+                calls += 1
+        elif event == "return" and depth:
+            depth -= 1
+
+    sys.setprofile(count)
+    try:
+        result = database.run()
+    finally:
+        sys.setprofile(None)
+    assert result.committed == result.submitted == BASE_TRANSACTIONS
+    assert result.metrics.total_restarts() > 3 * BASE_TRANSACTIONS
+    return calls / messages
+
+
+def test_coordinator_calls_per_message_stay_lean():
+    per_message = _coordinator_calls_per_message()
+    assert per_message <= COORDINATOR_CALLS_CEILING, per_message
 
 
 def _queue_manager_steps(readers):
