@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import random
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
@@ -41,6 +42,9 @@ logger = logging.getLogger(__name__)
 ClusterMap = Dict[int, Tuple[str, int]]
 
 _READ_CHUNK = 1 << 16
+
+#: The most a timer fires late (seconds): see :meth:`TcpTransport.schedule`.
+TIMER_JITTER = 0.001
 
 
 class LiveTransportError(Exception):
@@ -115,6 +119,7 @@ class TcpTransport(Transport):
         self._pending_routes: Dict[str, List[bytes]] = {}
         self._reader_tasks: List[asyncio.Task] = []
         self._closed = False
+        self._timer_jitter = random.Random()
         # Counters mirroring the simulated network's accounting.
         self._messages_sent = 0
         self._remote_messages = 0
@@ -152,8 +157,17 @@ class TcpTransport(Transport):
         label: str = "",
         site: Optional[int] = None,
     ) -> asyncio.TimerHandle:
-        """Arm a wall-clock timer; the handle supports ``cancel()``."""
-        return self._loop.call_later(max(delay, 0.0), self._guarded, callback, label)
+        """Arm a wall-clock timer; the handle supports ``cancel()``.
+
+        Each timer fires up to :data:`TIMER_JITTER` seconds late, at random.
+        Live mode has no deadlock detector: a cycle is broken only by the
+        request timeouts of its members, and transactions that arrive
+        together time out, restart and re-form the cycle together, round
+        after round.  The jitter reorders each round's restarts so the
+        cycle cannot recur in lockstep.
+        """
+        jitter = self._timer_jitter.random() * TIMER_JITTER
+        return self._loop.call_later(max(delay, 0.0) + jitter, self._guarded, callback, label)
 
     def send(
         self,

@@ -55,7 +55,6 @@ class Network:
         # The simulator's event list: send pushes deliveries onto it directly.
         self._events = simulator._queue
         self._config = config or NetworkConfig()
-        self._rng = rng
         self._faults = faults
         # The remote-delay draw, bound once: the same stream and the same
         # expovariate call RandomStreams.exponential makes, at a rate computed
@@ -126,9 +125,8 @@ class Network:
         """Sample the delivery latency for one message between the given sites."""
         if sender_site == receiver_site:
             return self._config.local_delay
-        return self._config.fixed_delay + self._rng.exponential(
-            "network-delay", self._config.variable_delay
-        )
+        draw = self._draw_delay
+        return self._config.fixed_delay + (draw(self._delay_rate) if draw is not None else 0.0)
 
     def send(
         self,
