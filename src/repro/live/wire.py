@@ -97,9 +97,7 @@ _DATACLASSES: Dict[str, Type[Any]] = {
 #: apart from plain tuples by exact class ahead of the generic tuple branch;
 #: their body is a field object, exactly as a dataclass's, and they decode
 #: to their own class.
-_IDS: Dict[str, Type[tuple]] = {
-    cls.__name__: cls for cls in (TransactionId, CopyId, RequestId)
-}
+_IDS: Dict[str, Type[tuple]] = {cls.__name__: cls for cls in (TransactionId, CopyId, RequestId)}
 
 #: Enums allowed on the wire, keyed by their tag (encoded by member name).
 _ENUMS: Dict[str, Type[enum.Enum]] = {

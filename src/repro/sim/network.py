@@ -60,9 +60,7 @@ class Network:
         # expovariate call RandomStreams.exponential makes, at a rate computed
         # once (None when the variable delay is 0: then nothing is drawn).
         variable_delay = self._config.variable_delay
-        self._draw_delay = (
-            rng.stream("network-delay").expovariate if variable_delay > 0 else None
-        )
+        self._draw_delay = rng.stream("network-delay").expovariate if variable_delay > 0 else None
         self._delay_rate = 1.0 / variable_delay if variable_delay > 0 else 0.0
         self._actors: Dict[str, Actor] = {}
         # Per-(sender, receiver) channels are FIFO: a message never overtakes an
@@ -162,9 +160,7 @@ class Network:
             self._local_messages += 1
         else:
             draw = self._draw_delay
-            latency = config.fixed_delay + (
-                draw(self._delay_rate) if draw is not None else 0.0
-            )
+            latency = config.fixed_delay + (draw(self._delay_rate) if draw is not None else 0.0)
             if faults is not None:
                 latency *= faults.delay_multiplier(sender.site, receiver.site, now)
             self._remote_messages += 1

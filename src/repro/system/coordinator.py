@@ -326,9 +326,7 @@ class RequestIssuerActor(Actor):
             # which copies it must see quiesce.
             self._uncommitted -= 1
             if self._audit_stream is not None:
-                self._audit_stream.note_commit(
-                    execution.tid, execution.attempt, execution.copies
-                )
+                self._audit_stream.note_commit(execution.tid, execution.attempt, execution.copies)
 
     def compute_write_values(self, execution: TransactionExecution) -> Dict[int, Any]:
         """The write set's values: the spec's logic applied to the read values."""
@@ -597,9 +595,7 @@ class RequestIssuerActor(Actor):
         operations = self._translate(execution.spec)
         execution.physical_operations = tuple(operations)
         execution.copies = tuple(operation.copy for operation in operations)
-        execution.queue_managers = tuple(
-            queue_manager_name(copy) for copy in execution.copies
-        )
+        execution.queue_managers = tuple(queue_manager_name(copy) for copy in execution.copies)
         execution.reads = sum(1 for operation in operations if operation.is_read)
         execution.writes = len(operations) - execution.reads
 
@@ -839,9 +835,7 @@ class RequestIssuerActor(Actor):
         execution.waiting += len(backed_off)
         execution.backed_off = 0
         for queue_manager in execution.queue_managers:
-            self._transport.send(
-                self, queue_manager, "update_ts", (execution.tid, agreed)
-            )
+            self._transport.send(self, queue_manager, "update_ts", (execution.tid, agreed))
 
     def _begin_execution(self, execution: TransactionExecution) -> None:
         self.transition(execution, TransactionStatus.EXECUTING)
