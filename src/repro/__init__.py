@@ -24,17 +24,7 @@ Quick start::
     print(result.mean_system_time, result.serializable)
 """
 
-from repro.common.config import NetworkConfig, ProtocolMix, SystemConfig, WorkloadConfig
-from repro.common.ids import CopyId, ItemId, RequestId, SiteId, TransactionId
-from repro.common.operations import LogicalOperation, OperationType, PhysicalOperation
-from repro.common.protocol_names import Protocol
-from repro.common.transactions import TransactionOutcome, TransactionSpec, TransactionStatus
-from repro.core.serializability import ConflictGraph, check_serializable
-from repro.selection.selector import STLProtocolSelector
-from repro.selection.stl import ThroughputLossModel
-from repro.system.database import DistributedDatabase, RunResult
-from repro.system.runner import run_simulation
-from repro.workload.generator import TransactionGenerator, generate_workload
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -66,3 +56,24 @@ __all__ = [
     "generate_workload",
     "run_simulation",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.common.config": ("NetworkConfig", "ProtocolMix", "SystemConfig", "WorkloadConfig"),
+        "repro.common.ids": ("CopyId", "ItemId", "RequestId", "SiteId", "TransactionId"),
+        "repro.common.operations": ("LogicalOperation", "OperationType", "PhysicalOperation"),
+        "repro.common.protocol_names": ("Protocol",),
+        "repro.common.transactions": (
+            "TransactionOutcome",
+            "TransactionSpec",
+            "TransactionStatus",
+        ),
+        "repro.core.serializability": ("ConflictGraph", "check_serializable"),
+        "repro.selection.selector": ("STLProtocolSelector",),
+        "repro.selection.stl": ("ThroughputLossModel",),
+        "repro.system.database": ("DistributedDatabase", "RunResult"),
+        "repro.system.runner": ("run_simulation",),
+        "repro.workload.generator": ("TransactionGenerator", "generate_workload"),
+    },
+)

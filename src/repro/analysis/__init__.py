@@ -12,25 +12,7 @@ argument that fans its runs across worker processes with bit-identical,
 seed-ordered results.
 """
 
-from repro.analysis.experiments import (
-    correctness_audit,
-    drift_adaptation_experiment,
-    dynamic_vs_static,
-    protocol_switching_ablation,
-    semilock_ablation,
-    single_item_write_experiment,
-    stl_cost_experiment,
-    sweep_arrival_rate,
-    sweep_transaction_size,
-)
-from repro.analysis.replications import (
-    ReplicatedResult,
-    SimulationTask,
-    compare_protocols_replicated,
-    run_replicated,
-    run_tasks,
-)
-from repro.analysis.tables import format_table, rows_to_table
+from repro._exports import lazy_exports
 
 __all__ = [
     "ReplicatedResult",
@@ -50,3 +32,28 @@ __all__ = [
     "sweep_arrival_rate",
     "sweep_transaction_size",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.experiments": (
+            "correctness_audit",
+            "drift_adaptation_experiment",
+            "dynamic_vs_static",
+            "protocol_switching_ablation",
+            "semilock_ablation",
+            "single_item_write_experiment",
+            "stl_cost_experiment",
+            "sweep_arrival_rate",
+            "sweep_transaction_size",
+        ),
+        "repro.analysis.replications": (
+            "ReplicatedResult",
+            "SimulationTask",
+            "compare_protocols_replicated",
+            "run_replicated",
+            "run_tasks",
+        ),
+        "repro.analysis.tables": ("format_table", "rows_to_table"),
+    },
+)

@@ -31,20 +31,12 @@ from repro.common.config import ProtocolMix, SystemConfig, WorkloadConfig
 from repro.common.protocol_names import Protocol
 from repro.selection.parameters import SystemLoadParameters
 from repro.selection.stl import ThroughputLossModel
-from repro.workload.scenarios import get_scenario
-
-#: Drift scenarios E9 runs by default (all registered in
-#: :mod:`repro.workload.scenarios`).
-DRIFT_SCENARIOS = ("hotspot-migration", "mix-flip", "load-ramp")
-
-#: Fault scenarios E10 runs by default (all registered in
-#: :mod:`repro.workload.scenarios`).
-FAULT_SCENARIOS = ("site-blackout", "flaky-links", "crash-storm")
-
-#: Fault scenarios E11 runs by default: a pure data-site outage (the
-#: control), the deterministic coordinator blackout, and the stochastic
-#: coordinator/site churn storm.
-RECOVERY_SCENARIOS = ("site-blackout", "coordinator-blackout", "in-doubt-storm")
+from repro.workload.scenarios import (
+    DRIFT_SCENARIOS,
+    FAULT_SCENARIOS,
+    RECOVERY_SCENARIOS,
+    get_scenario,
+)
 
 #: Commit-protocol variants E11 races (the full 2PC family; one-phase has
 #: no prepared state and nothing to recover).

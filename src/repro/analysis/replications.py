@@ -24,10 +24,9 @@ executes the missing points.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.config import SystemConfig, WorkloadConfig
 from repro.common.protocol_names import Protocol
@@ -35,6 +34,9 @@ from repro.sim.stats import WelfordAccumulator
 from repro.store import ResultStore, task_key, task_payload
 from repro.system.database import RunResult
 from repro.system.runner import run_simulation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported by the pool path
+    from multiprocessing.context import BaseContext
 
 #: Metrics aggregated across replications (taken from ``RunResult.summary()``).
 AGGREGATED_METRICS = (
@@ -139,7 +141,9 @@ def _execute_indexed(item: Tuple[int, SimulationTask]) -> Tuple[int, Dict[str, o
     return index, execute_task(task)
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _pool_context() -> BaseContext:
+    import multiprocessing
+
     # Fork keeps worker start-up cheap, but only Linux forks safely (macOS
     # system frameworks can crash in forked children, which is why CPython
     # moved the macOS default to spawn).  The platform default works

@@ -33,23 +33,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.experiments import (
-    DRIFT_SCENARIOS,
-    FAULT_SCENARIOS,
-    RECOVERY_SCENARIOS,
-    availability_experiment,
-    recovery_experiment,
-    correctness_audit,
-    drift_adaptation_experiment,
-    dynamic_vs_static,
-    protocol_switching_ablation,
-    semilock_ablation,
-    single_item_write_experiment,
-    sim_live_equivalence,
-    stl_cost_experiment,
-    sweep_arrival_rate,
-    sweep_transaction_size,
-)
 from repro.analysis.tables import (
     STORE_COLUMNS,
     kv_table,
@@ -62,7 +45,13 @@ from repro.common.config import CommitConfig, SystemConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.store import ResultStore
 from repro.system.runner import run_simulation
-from repro.workload.scenarios import all_scenarios, get_scenario
+from repro.workload.scenarios import (
+    DRIFT_SCENARIOS,
+    FAULT_SCENARIOS,
+    RECOVERY_SCENARIOS,
+    all_scenarios,
+    get_scenario,
+)
 
 #: Experiment ids accepted by ``sweep``; must match DESIGN.md's index.
 EXPERIMENT_IDS = (
@@ -447,6 +436,21 @@ def _report_store(store: Optional[ResultStore]) -> None:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import (
+        availability_experiment,
+        correctness_audit,
+        drift_adaptation_experiment,
+        dynamic_vs_static,
+        protocol_switching_ablation,
+        recovery_experiment,
+        semilock_ablation,
+        sim_live_equivalence,
+        single_item_write_experiment,
+        stl_cost_experiment,
+        sweep_arrival_rate,
+        sweep_transaction_size,
+    )
+
     system = _system_from_args(args)
     workload = _workload_from_args(args)
     jobs = args.jobs

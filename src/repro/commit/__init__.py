@@ -9,27 +9,7 @@ presumed-nothing two-phase, presumed-abort, presumed-commit);
 :mod:`repro.commit.audit` for the write-all atomicity audit.
 """
 
-from repro.commit.audit import ReplicaReport, check_replica_convergence
-from repro.commit.base import (
-    CommitProtocol,
-    commit_protocol_names,
-    create_commit_protocol,
-    register_commit_protocol,
-)
-from repro.commit.messages import (
-    AckMessage,
-    DecisionMessage,
-    PeerQuery,
-    PeerReply,
-    PrepareRequest,
-    StatusQuery,
-    StatusReply,
-    VoteMessage,
-)
-from repro.commit.one_phase import OnePhaseCommit
-from repro.commit.participant import CommitParticipantActor, commit_participant_name
-from repro.commit.presumed import PresumedAbortCommit, PresumedCommitCommit
-from repro.commit.two_phase import TwoPhaseCommit
+from repro._exports import lazy_exports
 
 __all__ = [
     "AckMessage",
@@ -53,3 +33,30 @@ __all__ = [
     "create_commit_protocol",
     "register_commit_protocol",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.commit.audit": ("ReplicaReport", "check_replica_convergence"),
+        "repro.commit.base": (
+            "CommitProtocol",
+            "commit_protocol_names",
+            "create_commit_protocol",
+            "register_commit_protocol",
+        ),
+        "repro.commit.messages": (
+            "AckMessage",
+            "DecisionMessage",
+            "PeerQuery",
+            "PeerReply",
+            "PrepareRequest",
+            "StatusQuery",
+            "StatusReply",
+            "VoteMessage",
+        ),
+        "repro.commit.one_phase": ("OnePhaseCommit",),
+        "repro.commit.participant": ("CommitParticipantActor", "commit_participant_name"),
+        "repro.commit.presumed": ("PresumedAbortCommit", "PresumedCommitCommit"),
+        "repro.commit.two_phase": ("TwoPhaseCommit",),
+    },
+)

@@ -42,7 +42,8 @@ through a narrow surface: the coordinator's ``transport`` (the seam of
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, ClassVar, Dict, Tuple, Type
+from importlib import import_module
+from typing import TYPE_CHECKING, ClassVar, Dict, Tuple, Type, Union
 
 from repro.common.errors import ConfigurationError, SimulationError
 
@@ -64,6 +65,10 @@ class CommitProtocol(abc.ABC):
 
     #: Inbound message kinds this layer consumes at the coordinator.
     message_kinds: ClassVar[Tuple[str, ...]] = ()
+
+    #: Whether the layer talks to a commit-participant actor at every site;
+    #: the database builds those actors only for a layer that does.
+    uses_participants: ClassVar[bool] = True
 
     def __init__(self, coordinator: "RequestIssuerActor") -> None:
         self._coordinator = coordinator
@@ -100,14 +105,23 @@ class CommitProtocol(abc.ABC):
         """
 
 
-_REGISTRY: Dict[str, Type[CommitProtocol]] = {}
+#: Registered protocols by name, in registration order.  A built-in protocol
+#: is listed by the module that defines it and imported the first time it is
+#: created: a run loads the commit layer it uses, not all four.
+_REGISTRY: Dict[str, Union[str, Type[CommitProtocol]]] = {
+    "one-phase": "repro.commit.one_phase",
+    "two-phase": "repro.commit.two_phase",
+    "presumed-abort": "repro.commit.presumed",
+    "presumed-commit": "repro.commit.presumed",
+}
 
 
 def register_commit_protocol(cls: Type[CommitProtocol]) -> Type[CommitProtocol]:
     """Add a commit-protocol class to the registry (usable as a decorator)."""
     if not cls.name:
         raise ConfigurationError("a commit protocol needs a non-empty name")
-    if cls.name in _REGISTRY:
+    # A built-in's own module fills in the slot reserved for it.
+    if cls.name in _REGISTRY and _REGISTRY[cls.name] != cls.__module__:
         raise ConfigurationError(f"commit protocol {cls.name!r} is already registered")
     _REGISTRY[cls.name] = cls
     return cls
@@ -118,8 +132,8 @@ def commit_protocol_names() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def create_commit_protocol(name: str, coordinator: "RequestIssuerActor") -> CommitProtocol:
-    """Instantiate the registered commit protocol called ``name`` for one coordinator."""
+def commit_protocol_class(name: str) -> Type[CommitProtocol]:
+    """The registered commit-protocol class called ``name``, imported on first use."""
     try:
         cls = _REGISTRY[name]
     except KeyError:
@@ -127,4 +141,12 @@ def create_commit_protocol(name: str, coordinator: "RequestIssuerActor") -> Comm
         raise ConfigurationError(
             f"unknown commit protocol {name!r}; known protocols: {known}"
         ) from None
-    return cls(coordinator)
+    if isinstance(cls, str):
+        import_module(cls)  # its module registers the class under ``name``
+        cls = _REGISTRY[name]
+    return cls
+
+
+def create_commit_protocol(name: str, coordinator: "RequestIssuerActor") -> CommitProtocol:
+    """Instantiate the registered commit protocol called ``name`` for one coordinator."""
+    return commit_protocol_class(name)(coordinator)

@@ -30,6 +30,7 @@ class OnePhaseCommit(CommitProtocol):
     """Implicit commit at the coordinator (no extra messages, no logging)."""
 
     name = "one-phase"
+    uses_participants = False
 
     def begin_commit(self, execution: "TransactionExecution") -> None:
         """Install the writes, mark the transaction committed, release the locks."""

@@ -37,7 +37,7 @@ precisely what its durable commit log says.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.commit.messages import (
     AckMessage,
@@ -55,11 +55,13 @@ from repro.common.ids import CopyId, SiteId, TransactionId
 from repro.core.queue_manager import QueueManager
 from repro.live.transport import Transport
 from repro.sim.actor import Actor, Message
-from repro.sim.faults import FaultInjector
 from repro.storage.log import CommitDecision, PreparedRecord, SiteCommitLog
 from repro.storage.store import ValueStore
 from repro.system.metrics import MetricsCollector
 from repro.system.queue_manager_actor import queue_manager_name
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; a fault-free run never imports it
+    from repro.sim.faults import FaultInjector
 
 
 def commit_participant_name(site: SiteId) -> str:

@@ -11,36 +11,7 @@ the concurrency-control core (:mod:`repro.core`) and the simulation kernel
 (:mod:`repro.sim`) can both depend on it without cycles.
 """
 
-from repro.common.config import (
-    NetworkConfig,
-    ProtocolMix,
-    SystemConfig,
-    WorkloadConfig,
-)
-from repro.common.errors import (
-    ConfigurationError,
-    DeadlockError,
-    ProtocolError,
-    ReproError,
-    SerializationViolationError,
-    SimulationError,
-    TransactionAbortedError,
-    UnknownProtocolError,
-)
-from repro.common.ids import (
-    CopyId,
-    ItemId,
-    RequestId,
-    SiteId,
-    TransactionId,
-)
-from repro.common.operations import (
-    LogicalOperation,
-    OperationType,
-    PhysicalOperation,
-)
-from repro.common.protocol_names import Protocol
-from repro.common.transactions import TransactionSpec, TransactionStatus
+from repro._exports import lazy_exports
 
 __all__ = [
     "ConfigurationError",
@@ -67,3 +38,24 @@ __all__ = [
     "UnknownProtocolError",
     "WorkloadConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.common.config": ("NetworkConfig", "ProtocolMix", "SystemConfig", "WorkloadConfig"),
+        "repro.common.errors": (
+            "ConfigurationError",
+            "DeadlockError",
+            "ProtocolError",
+            "ReproError",
+            "SerializationViolationError",
+            "SimulationError",
+            "TransactionAbortedError",
+            "UnknownProtocolError",
+        ),
+        "repro.common.ids": ("CopyId", "ItemId", "RequestId", "SiteId", "TransactionId"),
+        "repro.common.operations": ("LogicalOperation", "OperationType", "PhysicalOperation"),
+        "repro.common.protocol_names": ("Protocol",),
+        "repro.common.transactions": ("TransactionSpec", "TransactionStatus"),
+    },
+)

@@ -10,7 +10,7 @@ objects below so that the experiment harness can sweep them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.protocol_names import Protocol
@@ -284,13 +284,29 @@ class ProtocolMix:
 
     def sample(self, uniform_draw: float) -> Protocol:
         """Map a uniform(0, 1) draw onto a protocol according to the weights."""
+        return self.sampler()(uniform_draw)
+
+    def sampler(self) -> Callable[[float], Protocol]:
+        """:meth:`sample` with its cumulative table built once, for many draws.
+
+        A draw maps to the first protocol whose running sum of normalised
+        weights (added in mix order) reaches it; a draw above the last sum,
+        which rounding can leave just below one, maps to the last protocol.
+        """
+        table = []
         cumulative = 0.0
-        normalized = self.normalized()
-        for protocol, weight in normalized.items():
+        for protocol, weight in self.normalized().items():
             cumulative += weight
-            if uniform_draw <= cumulative:
-                return protocol
-        return next(reversed(list(normalized)))
+            table.append((cumulative, protocol))
+        last = table[-1][1]
+
+        def sample(uniform_draw: float) -> Protocol:
+            for bound, protocol in table:
+                if uniform_draw <= bound:
+                    return protocol
+            return last
+
+        return sample
 
 
 @dataclass(frozen=True)

@@ -31,19 +31,7 @@ rejections) rather than sending messages themselves, which makes them easy to
 unit test; :mod:`repro.system` wires them to the simulated network.
 """
 
-from repro.core.data_queue import DataQueue, QueuedRequest
-from repro.core.effects import (
-    Effect,
-    GrantIssued,
-    BackoffIssued,
-    RequestRejected,
-)
-from repro.core.locks import GrantedLock, LockMode, LockTable
-from repro.core.precedence import Precedence
-from repro.core.queue_manager import QueueManager
-from repro.core.requests import Request
-from repro.core.serializability import ConflictGraph, check_serializable
-from repro.core.deadlock import DeadlockDetector, WaitForGraph
+from repro._exports import lazy_exports
 
 __all__ = [
     "BackoffIssued",
@@ -63,3 +51,17 @@ __all__ = [
     "WaitForGraph",
     "check_serializable",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.data_queue": ("DataQueue", "QueuedRequest"),
+        "repro.core.deadlock": ("DeadlockDetector", "WaitForGraph"),
+        "repro.core.effects": ("BackoffIssued", "Effect", "GrantIssued", "RequestRejected"),
+        "repro.core.locks": ("GrantedLock", "LockMode", "LockTable"),
+        "repro.core.precedence": ("Precedence",),
+        "repro.core.queue_manager": ("QueueManager",),
+        "repro.core.requests": ("Request",),
+        "repro.core.serializability": ("ConflictGraph", "check_serializable"),
+    },
+)

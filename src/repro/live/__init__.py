@@ -25,6 +25,11 @@ The rest of the package is the live machinery itself:
   harnesses, plus free-port allocation.
 """
 
-from repro.live.transport import SimTransport, Transport
+from repro._exports import lazy_exports
 
 __all__ = ["SimTransport", "Transport"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {"repro.live.transport": ("SimTransport", "Transport")},
+)

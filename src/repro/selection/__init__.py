@@ -14,14 +14,7 @@ The selection machinery has three parts:
   protocol with the smallest loss.
 """
 
-from repro.selection.parameters import (
-    DecayingParameterEstimator,
-    ParameterEstimator,
-    ProtocolCostParameters,
-    SystemLoadParameters,
-)
-from repro.selection.selector import SELECTION_MODES, STLProtocolSelector
-from repro.selection.stl import ThroughputLossModel
+from repro._exports import lazy_exports
 
 __all__ = [
     "DecayingParameterEstimator",
@@ -32,3 +25,17 @@ __all__ = [
     "SystemLoadParameters",
     "ThroughputLossModel",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.selection.parameters": (
+            "DecayingParameterEstimator",
+            "ParameterEstimator",
+            "ProtocolCostParameters",
+            "SystemLoadParameters",
+        ),
+        "repro.selection.selector": ("SELECTION_MODES", "STLProtocolSelector"),
+        "repro.selection.stl": ("ThroughputLossModel",),
+    },
+)

@@ -13,17 +13,7 @@ discrete-event model gives deterministic, seedable runs and lets us charge
 exactly the message and waiting costs the paper reasons about.
 """
 
-from repro.sim.actor import Actor, Message
-from repro.sim.events import Event, EventQueue
-from repro.sim.network import Network
-from repro.sim.rng import RandomStreams
-from repro.sim.simulator import Simulator
-from repro.sim.stats import (
-    Counter,
-    SummaryStatistics,
-    TimeWeightedValue,
-    WelfordAccumulator,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "Actor",
@@ -38,3 +28,20 @@ __all__ = [
     "TimeWeightedValue",
     "WelfordAccumulator",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.actor": ("Actor", "Message"),
+        "repro.sim.events": ("Event", "EventQueue"),
+        "repro.sim.network": ("Network",),
+        "repro.sim.rng": ("RandomStreams",),
+        "repro.sim.simulator": ("Simulator",),
+        "repro.sim.stats": (
+            "Counter",
+            "SummaryStatistics",
+            "TimeWeightedValue",
+            "WelfordAccumulator",
+        ),
+    },
+)

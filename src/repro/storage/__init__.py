@@ -15,8 +15,15 @@ package provides exactly those pieces:
   (lost updates, non-repeatable reads) rather than only their schedules.
 """
 
-from repro.storage.catalog import ReplicaCatalog
-from repro.storage.log import CopyLog, ExecutionLog, LogEntry
-from repro.storage.store import ValueStore
+from repro._exports import lazy_exports
 
 __all__ = ["CopyLog", "ExecutionLog", "LogEntry", "ReplicaCatalog", "ValueStore"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.storage.catalog": ("ReplicaCatalog",),
+        "repro.storage.log": ("CopyLog", "ExecutionLog", "LogEntry"),
+        "repro.storage.store": ("ValueStore",),
+    },
+)

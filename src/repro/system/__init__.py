@@ -17,9 +17,7 @@ the discrete-event kernel (:mod:`repro.sim`):
   and the per-protocol statistics the dynamic selector feeds on.
 """
 
-from repro.system.database import DistributedDatabase, RunResult
-from repro.system.metrics import MetricsCollector, ProtocolStatistics
-from repro.system.runner import run_simulation
+from repro._exports import lazy_exports
 
 __all__ = [
     "DistributedDatabase",
@@ -28,3 +26,12 @@ __all__ = [
     "RunResult",
     "run_simulation",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.system.database": ("DistributedDatabase", "RunResult"),
+        "repro.system.metrics": ("MetricsCollector", "ProtocolStatistics"),
+        "repro.system.runner": ("run_simulation",),
+    },
+)

@@ -47,7 +47,6 @@ from repro.common.transactions import TransactionOutcome, TransactionSpec, Trans
 from repro.core.effects import BackoffIssued, GrantIssued, RequestRejected
 from repro.core.requests import Request
 from repro.sim.actor import Actor, Message
-from repro.sim.faults import FaultInjector
 from repro.storage.catalog import ReplicaCatalog
 from repro.storage.log import SiteCommitLog
 from repro.storage.store import ValueStore
@@ -57,6 +56,7 @@ from repro.system.queue_manager_actor import GrantDelivery, queue_manager_name
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.streaming import IncrementalSerializabilityChecker as AuditStream
     from repro.live.transport import Transport
+    from repro.sim.faults import FaultInjector
 
 #: Hook used for dynamic protocol selection: ``(spec, now) -> Protocol``.
 ProtocolChooser = Callable[[TransactionSpec, float], Protocol]

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.commit.audit import (
     ReplicaReport,
     StreamingReplicaAuditor,
     check_replica_convergence,
 )
-from repro.commit.participant import CommitParticipantActor
+from repro.commit.base import commit_protocol_class
 from repro.common.config import SystemConfig, WorkloadConfig
 from repro.common.errors import SimulationError
 from repro.common.ids import CopyId, SiteId, TransactionId
@@ -18,9 +18,7 @@ from repro.common.protocol_names import Protocol
 from repro.common.transactions import TransactionSpec
 from repro.core.queue_manager import QueueManager
 from repro.core.serializability import SerializabilityReport, check_serializable
-from repro.core.streaming import IncrementalSerializabilityChecker
 from repro.live.transport import SimTransport
-from repro.sim.faults import FaultInjector
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator
@@ -31,6 +29,11 @@ from repro.system.coordinator import ProtocolChooser, RequestIssuerActor
 from repro.system.detector import DeadlockDetectorActor
 from repro.system.metrics import MetricsCollector
 from repro.system.queue_manager_actor import QueueManagerActor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported where a run uses them
+    from repro.commit.participant import CommitParticipantActor
+    from repro.core.streaming import IncrementalSerializabilityChecker
+    from repro.sim.faults import FaultInjector
 
 
 @dataclass
@@ -218,6 +221,8 @@ class DistributedDatabase:
         self._rng = RandomStreams(system.seed)
         self._faults: Optional[FaultInjector] = None
         if system.faults is not None:
+            from repro.sim.faults import FaultInjector
+
             self._faults = FaultInjector(
                 self._simulator, system.faults, system.num_sites, self._rng
             )
@@ -233,6 +238,8 @@ class DistributedDatabase:
         self._execution_log = ExecutionLog(bounded=streaming)
         self._audit_checker: Optional[IncrementalSerializabilityChecker] = None
         if streaming:
+            from repro.core.streaming import IncrementalSerializabilityChecker
+
             # The checker observes every recorded/withdrawn entry and, once a
             # transaction is sealed and safe, retires its log entries so the
             # execution log stays bounded by the live window.
@@ -273,22 +280,25 @@ class DistributedDatabase:
                 self._queue_manager_actors[copy] = actor
 
         self._participants: Dict[SiteId, CommitParticipantActor] = {}
-        for site in range(system.num_sites):
-            participant = CommitParticipantActor(
-                site=site,
-                transport=self._transport,
-                metrics=self._metrics,
-                value_store=self._value_store,
-                managers={
-                    copy: self._queue_managers[copy]
-                    for copy in self._catalog.copies_at(site)
-                },
-                commit_log=self._commit_logs[site],
-                commit_config=system.commit,
-                faults=self._faults,
-            )
-            self._network.register(participant)
-            self._participants[site] = participant
+        if commit_protocol_class(system.commit.protocol).uses_participants:
+            from repro.commit.participant import CommitParticipantActor
+
+            for site in range(system.num_sites):
+                participant = CommitParticipantActor(
+                    site=site,
+                    transport=self._transport,
+                    metrics=self._metrics,
+                    value_store=self._value_store,
+                    managers={
+                        copy: self._queue_managers[copy]
+                        for copy in self._catalog.copies_at(site)
+                    },
+                    commit_log=self._commit_logs[site],
+                    commit_config=system.commit,
+                    faults=self._faults,
+                )
+                self._network.register(participant)
+                self._participants[site] = participant
 
         if self._faults is not None:
             self._faults.add_crash_listener(self._on_site_crashed)
@@ -400,7 +410,7 @@ class DistributedDatabase:
         return self._issuers[site]
 
     def participant(self, site: SiteId) -> CommitParticipantActor:
-        """The commit-participant actor of ``site``."""
+        """The commit-participant actor of ``site`` (a two-phase-family run has one per site)."""
         return self._participants[site]
 
     def commit_log(self, site: SiteId) -> SiteCommitLog:

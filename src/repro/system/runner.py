@@ -7,13 +7,15 @@ examples, tests and benchmarks all share the same entry point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.config import ProtocolMix, SystemConfig, WorkloadConfig
 from repro.common.protocol_names import Protocol
-from repro.store import ResultStore
 from repro.system.database import DistributedDatabase, RunResult
 from repro.workload.generator import TransactionGenerator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store import ResultStore
 
 
 def run_simulation(

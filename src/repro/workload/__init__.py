@@ -12,31 +12,7 @@ registers named end-to-end profiles (Zipfian skew, bursty arrivals,
 site-local access, bimodal sizes) documented in DESIGN.md.
 """
 
-from repro.workload.access_patterns import (
-    AccessPattern,
-    HotspotAccessPattern,
-    SiteSkewedAccessPattern,
-    UniformAccessPattern,
-    ZipfianAccessPattern,
-    build_access_pattern,
-)
-from repro.workload.drift import DriftResolver, MigratingHotspotOverlay, RegimeShape
-from repro.workload.generator import (
-    ArrivalProcess,
-    BurstyArrivalProcess,
-    PoissonArrivalProcess,
-    TransactionGenerator,
-    build_arrival_process,
-    generate_workload,
-)
-from repro.workload.scenarios import (
-    Scenario,
-    all_scenarios,
-    get_scenario,
-    register_scenario,
-    run_scenario,
-    scenario_names,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "AccessPattern",
@@ -61,3 +37,34 @@ __all__ = [
     "run_scenario",
     "scenario_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workload.access_patterns": (
+            "AccessPattern",
+            "HotspotAccessPattern",
+            "SiteSkewedAccessPattern",
+            "UniformAccessPattern",
+            "ZipfianAccessPattern",
+            "build_access_pattern",
+        ),
+        "repro.workload.drift": ("DriftResolver", "MigratingHotspotOverlay", "RegimeShape"),
+        "repro.workload.generator": (
+            "ArrivalProcess",
+            "BurstyArrivalProcess",
+            "PoissonArrivalProcess",
+            "TransactionGenerator",
+            "build_arrival_process",
+            "generate_workload",
+        ),
+        "repro.workload.scenarios": (
+            "Scenario",
+            "all_scenarios",
+            "get_scenario",
+            "register_scenario",
+            "run_scenario",
+            "scenario_names",
+        ),
+    },
+)

@@ -150,11 +150,11 @@ class ZipfianAccessPattern(AccessPattern):
         count = self._clamp_count(count)
         chosen: set = set()
         attempts_left = self._MAX_REJECTIONS_PER_ITEM * count
+        uniform, cumulative, total = rng.random, self._cumulative, self._total_weight
+        last = self._num_items - 1
         while len(chosen) < count and attempts_left > 0:
             attempts_left -= 1
-            point = rng.random() * self._total_weight
-            item = min(bisect.bisect_left(self._cumulative, point), self._num_items - 1)
-            chosen.add(item)
+            chosen.add(min(bisect.bisect_left(cumulative, uniform() * total), last))
         # Under extreme skew the cold tail may be practically unreachable by
         # rejection sampling; fill the remainder deterministically from the
         # coldest (highest-id) unchosen items so the draw always terminates.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
 
 from repro.common.config import SystemConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
@@ -13,7 +13,9 @@ from repro.common.protocol_names import Protocol
 from repro.common.transactions import TransactionSpec
 from repro.sim.rng import RandomStreams
 from repro.workload.access_patterns import AccessPattern, build_access_pattern
-from repro.workload.drift import DriftResolver, MigratingHotspotOverlay, RegimeShape
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported by a drifting run
+    from repro.workload.drift import MigratingHotspotOverlay, RegimeShape
 
 
 class ArrivalProcess(abc.ABC):
@@ -146,6 +148,7 @@ class TransactionGenerator:
             self._access_pattern = build_access_pattern(system, workload)
         self._sequence_by_site = {site: 0 for site in range(system.num_sites)}
         self._drift_boundaries: List[float] = []
+        self._sample_protocol = workload.protocol_mix.sampler()
 
     @property
     def access_pattern(self) -> AccessPattern:
@@ -192,6 +195,8 @@ class TransactionGenerator:
         drifted read fraction re-weights the read/write split.  All draws go
         through the same named streams as the stationary path.
         """
+        from repro.workload.drift import DriftResolver, MigratingHotspotOverlay
+
         workload = self._workload
         assert workload.drift is not None
         arrival_stream = self._streams.stream("arrivals")
@@ -266,7 +271,7 @@ class TransactionGenerator:
         )
         protocol: Optional[Protocol] = None
         if self._assign_protocols:
-            protocol = self._workload.protocol_mix.sample(protocol_stream.random())
+            protocol = self._sample_protocol(protocol_stream.random())
         return TransactionSpec(
             tid=tid,
             read_items=tuple(reads),

@@ -547,3 +547,14 @@ register_scenario(
         ),
     )
 )
+
+#: Drift scenarios E9 runs by default (all registered above).
+DRIFT_SCENARIOS = ("hotspot-migration", "mix-flip", "load-ramp")
+
+#: Fault scenarios E10 runs by default (all registered above).
+FAULT_SCENARIOS = ("site-blackout", "flaky-links", "crash-storm")
+
+#: Fault scenarios E11 runs by default: a pure data-site outage (the
+#: control), the deterministic coordinator blackout, and the stochastic
+#: coordinator/site churn storm.
+RECOVERY_SCENARIOS = ("site-blackout", "coordinator-blackout", "in-doubt-storm")

@@ -44,6 +44,22 @@ class TestProtocolMix:
     def test_pure_accepts_string_names(self):
         assert ProtocolMix.pure("t/o").sample(0.5) is Protocol.TIMESTAMP_ORDERING
 
+    def test_sampler_maps_draws_at_the_running_sums(self):
+        mix = ProtocolMix(
+            {
+                Protocol.TIMESTAMP_ORDERING: 1.0,
+                Protocol.TWO_PHASE_LOCKING: 0.0,
+                Protocol.PRECEDENCE_AGREEMENT: 2.0,
+            }
+        )
+        sample = mix.sampler()
+        third = 1.0 / 3.0
+        assert sample(0.0) is Protocol.TIMESTAMP_ORDERING
+        assert sample(third) is Protocol.TIMESTAMP_ORDERING  # the bound itself
+        assert sample(third + 1e-12) is Protocol.PRECEDENCE_AGREEMENT  # zero weight skipped
+        assert sample(1.0) is Protocol.PRECEDENCE_AGREEMENT
+        assert sample(1.5) is Protocol.PRECEDENCE_AGREEMENT  # past the last sum
+
 
 class TestSystemConfig:
     def test_defaults_are_valid(self):

@@ -68,8 +68,9 @@ def test_calls_per_transaction_are_flat_across_10x_run_growth():
 #: ``zipf-hotspot`` (2PL+PA, 300 transactions), measured on CPython 3.11.  The
 #: count includes what the handler calls out to (network send, execution log,
 #: metrics).  The queue manager that sorted its lock table on every grant test
-#: and walked every lock after every release made 74.6.
-QUEUE_MANAGER_CALLS_MEASURED = 34.6
+#: and walked every lock after every release made 74.6; with the id types as
+#: frozen dataclasses (a Python-level ``__hash__`` on every lookup), 34.6.
+QUEUE_MANAGER_CALLS_MEASURED = 24.35
 
 #: The gate: the measured value plus 10%.  It guards the layer's shape — no
 #: per-request sort or whole-table walk creeping back — and is not a speed-up
