@@ -20,13 +20,15 @@ api-docs:
 check-api-docs:
 	$(PY) tools/gen_api_docs.py --check
 
-## per-actor message-trace digests of every scenario (~1 s); `make trace-pin
-## ARGS=--write` re-pins them after a deliberate behaviour change
+## per-actor message-trace digests of every scenario and the wire codec's frame
+## digests (~2 s); `make trace-pin ARGS=--write` re-pins both after a deliberate
+## behaviour or wire-format change
 trace-pin:
 ifeq ($(ARGS),--write)
 	$(PY) tests/system/test_message_traces.py --write
+	$(PY) tests/live/test_wire_pin.py --write
 else
-	$(PY) -m pytest tests/system/test_message_traces.py -q
+	$(PY) -m pytest tests/system/test_message_traces.py tests/live/test_wire_pin.py -q
 endif
 
 ## perf-regression gate: current hot paths vs BENCH_BASELINE.json (>2.5x fails)
