@@ -15,8 +15,11 @@ comes back as its exact class and not as a plain tuple.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
+import pathlib
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -449,3 +452,265 @@ class TestMessageEnvelope:
             changed.metadata["hop"] = 3
         bare = Message("k", "a", "b")
         assert bare.replace(deliver_time=1.0).metadata is bare.metadata
+
+
+# ---------------------------------------------------------------------------
+# Differential against the reference codec
+# ---------------------------------------------------------------------------
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+import reference_wire  # noqa: E402
+
+
+def assert_same_decoding(new: Message, reference: Message) -> None:
+    """Equal envelopes whose payload and metadata agree in exact class throughout."""
+    assert_same_message(new, reference)
+    assert_same_classes(new.payload, reference.payload)
+    assert_same_classes(dict(new.metadata), dict(reference.metadata))
+
+
+def reference_outcome(action, *args):
+    """``("ok", result)`` or ``("rejected", None)`` when the reference raises ``WireError``."""
+    try:
+        return "ok", action(*args)
+    except WireError:
+        return "rejected", None
+
+
+class TestReferenceDifferential:
+    """The compiled codec against the plain recursive one, byte for byte and value for value."""
+
+    @given(message=messages, payload=st.one_of(nested_ids, grant_deliveries, payloads))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_and_same_values(self, message: Message, payload) -> None:
+        for sent in (message, message.replace(payload=payload)):
+            frame = encode_message(sent)
+            assert frame == reference_wire.encode_message(sent)
+            new = decode_frame_body(frame[4:])
+            assert_same_decoding(new, reference_wire.decode_frame_body(frame[4:]))
+            assert_same_classes(new.payload, sent.payload)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"{not json",
+            b"\xff\xfe",
+            b"[1,2,3]",
+            b'{"sender":"a","receiver":"b"}',
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"EvilClass","v":{}}}',
+            b'{"kind":"k","sender":"a","receiver":"b",'
+            b'"payload":{"__t":"TransactionId","v":{"bogus":1}}}',
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"tuple"}}',
+            # An untagged object as a value: the payload, a tuple item, a field.
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"x":1}}',
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"tuple","v":[{"x":1}]}}',
+            b'{"kind":"k","sender":"a","receiver":"b",'
+            b'"payload":{"__t":"TransactionId","v":{"site":{"x":1},"seq":2}}}',
+            b'{"kind":"k","sender":"a","receiver":"b","metadata":[[{"x":1},1]]}',
+            # A record whose body is an array, or a tagged value.
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"CopyId","v":[1,2]}}',
+            b'{"kind":"k","sender":"a","receiver":"b",'
+            b'"payload":{"__t":"CopyId","v":{"__t":"dict","v":[["item",1],["site",2]]}}}',
+            # A dict whose body is not a list of pairs.
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"dict","v":5}}',
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"dict","v":[[1,2,3]]}}',
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"dict","v":["abc"]}}',
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"dict","v":[[[1],2]]}}',
+            # Other shapes: enum names, envelope fields, metadata, send time.
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"LockMode","v":"NOPE"}}',
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"LockMode","v":[1]}}',
+            b'{"kind":"k","sender":"a","receiver":"b","payload":{"__t":"tuple","v":7}}',
+            b'{"kind":1,"sender":"a","receiver":"b"}',
+            b'{"kind":"k","sender":"a","receiver":"b","metadata":{"x":1}}',
+            b'{"kind":"k","sender":"a","receiver":"b","metadata":null}',
+            b'{"kind":"k","sender":"a","receiver":"b","metadata":[[1]]}',
+            b'{"kind":"k","sender":"a","receiver":"b","send_time":true}',
+            b'{"kind":"k","sender":"a","receiver":"b","send_time":"0"}',
+            b'{"kind":"k","sender":"a","receiver":"b"} extra',
+            b"\xef\xbb\xbf{}",
+            b"",
+        ],
+    )
+    def test_what_the_reference_rejects_is_rejected(self, body: bytes) -> None:
+        assert reference_outcome(reference_wire.decode_frame_body, body)[0] == "rejected"
+        with pytest.raises(WireError):
+            decode_frame_body(body)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            float("inf"),
+            float("nan"),
+            (1, [2, {3: -float("inf")}]),
+            TransactionSpec(
+                tid=TransactionId(0, 1), read_items=(1,), write_items=(), logic=lambda r: {}
+            ),
+            Protocol,
+            object(),
+            enum.Enum("Unregistered", "A").A,
+            {TransactionId(0, 1): {"x": frozenset()}},
+        ],
+    )
+    def test_values_the_reference_refuses_are_refused(self, payload) -> None:
+        message = Message("k", "a", "b", payload=payload)
+        assert reference_outcome(reference_wire.encode_message, message)[0] == "rejected"
+        with pytest.raises(WireError):
+            encode_message(message)
+        with pytest.raises(WireError):
+            encode_message(Message("k", "a", "b", metadata={"m": payload}))
+
+    def test_subclasses_take_the_generic_path(self) -> None:
+        class Int(int):
+            def __repr__(self):
+                return "Int!"
+
+        class Float(float):
+            def __repr__(self):
+                return "Float!"
+
+            __str__ = __repr__
+
+        class Str(str):
+            pass
+
+        class Tuple(tuple):
+            pass
+
+        class List(list):
+            pass
+
+        class Dict(dict):
+            pass
+
+        class Small(enum.IntEnum):
+            ONE = 1
+
+        class Tid(TransactionId):
+            __slots__ = ()
+
+        payload = [
+            Int(5),
+            Float(2.5),
+            Str("s"),
+            Tuple((1, TransactionId(0, 1))),
+            List([CopyId(1, 2)]),
+            Dict({CopyId(1, 2): Int(3)}),
+            Small.ONE,
+            Tid(1, 2),
+        ]
+        for message in (
+            Message("k", "a", "b", payload=payload, send_time=Float(1.5)),
+            Message(Str("k"), "a", "b", metadata={Str("m"): Int(1)}),
+            Message(("k", 1), "a", "b"),
+        ):
+            assert encode_message(message) == reference_wire.encode_message(message)
+
+    @given(document=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hand_built_frames_decode_alike(self, document) -> None:
+        """Random tagged-JSON frames: the new decoder never accepts what the reference
+        rejects, never decodes to a different value, and rejects what it accepts only
+        in the stricter cases the module lists (:func:`stricter_case`)."""
+        body = json.dumps(document.draw(frames_json)).encode()
+        reference = reference_outcome(reference_wire.decode_frame_body, body)
+        new = reference_outcome(decode_frame_body, body)
+        if reference[0] == "rejected":
+            assert new[0] == "rejected", body
+        elif new[0] == "ok":
+            assert_same_decoding(new[1], reference[1])
+        else:
+            assert stricter_case(json.loads(body)), body
+
+
+#: Tags, field names and keys the random frames draw from, so that many of
+#: them are well-formed or nearly so.
+TAGS = ["tuple", "list", "dict", "TransactionId", "CopyId", "LockMode", "VoteMessage", "Evil"]
+KEYS = ["site", "seq", "item", "transaction", "attempt", "commit", "__t", "v", "x"]
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["READ", "WRITE", "ab", "", "tuple", "__t"]),
+)
+
+
+def _json_values(children):
+    tagged = st.builds(lambda tag, body: {"__t": tag, "v": body}, st.sampled_from(TAGS), children)
+    return st.one_of(
+        tagged,
+        st.builds(
+            lambda tag, body, extra: {"__t": tag, "v": body, **extra},
+            st.sampled_from(TAGS),
+            children,
+            st.dictionaries(st.sampled_from(KEYS), children, max_size=1),
+        ),
+        st.lists(children, max_size=3),
+        st.lists(st.lists(children, min_size=2, max_size=2), max_size=2),
+        st.dictionaries(st.sampled_from(KEYS), children, max_size=3),
+    )
+
+
+json_values = st.recursive(json_leaves, _json_values, max_leaves=10)
+
+frames_json = st.builds(
+    lambda envelope, extra: {**envelope, **extra},
+    st.fixed_dictionaries(
+        {"kind": st.just("k"), "sender": st.just("a"), "receiver": st.just("b")},
+        optional={
+            "payload": json_values,
+            "metadata": st.one_of(
+                st.lists(st.lists(json_values, min_size=2, max_size=2), max_size=2), json_values
+            ),
+            "send_time": st.one_of(st.integers(0, 9), st.floats(0, 9)),
+        },
+    ),
+    st.dictionaries(st.sampled_from(["__t", "v", "extra"]), json_values, max_size=1),
+)
+
+#: The six envelope keys; the reference ignores any other.
+ENVELOPE_KEYS = {"kind", "sender", "receiver", "payload", "send_time", "metadata"}
+
+
+def stricter_case(document) -> bool:
+    """Whether a frame the reference accepts falls in a case the new decoder rejects on purpose.
+
+    They are: an envelope with a ``__t`` key; an envelope key the reference
+    ignores holding anything but a plain JSON value; a tagged object with keys besides
+    ``__t`` and ``v``; and a JSON object where the reference iterated a
+    sequence — a tuple/list/dict tag's body, a dict or metadata pair.
+    """
+
+    def plain(value) -> bool:
+        if isinstance(value, list):
+            return all(plain(item) for item in value)
+        return not isinstance(value, dict)
+
+    def visit(value) -> bool:
+        if isinstance(value, list):
+            return any(visit(item) for item in value)
+        if not isinstance(value, dict):
+            return False
+        if set(value) != {"__t", "v"}:
+            return True
+        body = value["v"]
+        if value["__t"] in ("tuple", "list", "dict"):
+            if isinstance(body, dict):
+                return True
+            if value["__t"] == "dict" and isinstance(body, list):
+                if any(isinstance(pair, dict) for pair in body):
+                    return True
+                return any(visit(item) for pair in body for item in pair)
+        if isinstance(body, dict) and "__t" not in body:
+            return any(visit(item) for item in body.values())
+        return visit(body)
+
+    if "__t" in document:
+        return True
+    if any(not plain(document[key]) for key in set(document) - ENVELOPE_KEYS):
+        return True
+    metadata = document.get("metadata", [])
+    if isinstance(metadata, list) and any(isinstance(pair, dict) for pair in metadata):
+        return True
+    return visit(document.get("payload")) or visit(metadata)

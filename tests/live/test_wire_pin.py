@@ -8,6 +8,10 @@ writes.  A change to the codec's internals that must not alter the format
 reproduces every digest; a deliberate format change re-pins and says why::
 
     PYTHONPATH=src python tests/live/test_wire_pin.py --write
+
+The same corpus gates the codec's cost, counted in Python calls per frame
+(the ``sys.setprofile`` count of ``tests/system/test_run_length_calls.py``):
+deterministic where a timing would drown in machine noise.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ import sys
 
 import pytest
 
-from repro.live.wire import decode_frame_body, encode_message
+from repro.live.wire import FrameDecoder, decode_frame_body, encode_message
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import wire_corpus  # noqa: E402
@@ -58,6 +62,49 @@ def test_pinned_frames_round_trip(group):
         assert decoded.send_time == message.send_time
         if type(message.send_time) is float:  # an int send time decodes as a float
             assert encode_message(decoded) == frame
+
+
+#: Python calls per frame over the pinned corpus, measured on CPython 3.11:
+#: ``encode_message`` and ``FrameDecoder.feed`` (one frame per feed).  The
+#: recursive codec with one ``json.dumps``/``json.loads`` per frame made
+#: 41.01 and 33.69; the compiled emitters and the parser's object hook make
+#: 7.95 and 16.16.
+ENCODE_CALLS_MEASURED = 7.95
+DECODE_CALLS_MEASURED = 16.16
+
+#: The gates: the measured values plus 10%.  They guard the codec's shape —
+#: no per-value Python walk creeping back into either direction — and are
+#: not a speed claim.
+ENCODE_CALLS_CEILING = ENCODE_CALLS_MEASURED * 1.10
+DECODE_CALLS_CEILING = DECODE_CALLS_MEASURED * 1.10
+
+
+def _calls_per_frame(action, items):
+    """Python calls made by ``action`` on every item, per item."""
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    results = []
+    sys.setprofile(count)
+    try:
+        for item in items:
+            results.append(action(item))
+    finally:
+        sys.setprofile(None)
+    return calls / len(items), results
+
+
+def test_codec_calls_per_frame_stay_lean():
+    messages = [message for group in sorted(CORPUS) for message in CORPUS[group]]
+    encode_calls, frames = _calls_per_frame(encode_message, messages)
+    decode_calls, decoded = _calls_per_frame(FrameDecoder().feed, frames)
+    assert [len(batch) for batch in decoded] == [1] * len(messages)
+    assert encode_calls <= ENCODE_CALLS_CEILING, encode_calls
+    assert decode_calls <= DECODE_CALLS_CEILING, decode_calls
 
 
 if __name__ == "__main__":

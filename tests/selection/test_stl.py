@@ -174,8 +174,16 @@ class TestAgainstPerCellReference:
         arguments = (
             spec(3, 2),
             costs(Protocol.TWO_PHASE_LOCKING, lock_time=0.12, aborted=0.3, abort_p=0.2),
-            costs(Protocol.TIMESTAMP_ORDERING, lock_time=0.08, aborted=0.25, read_p=0.1, write_p=0.2),
-            costs(Protocol.PRECEDENCE_AGREEMENT, lock_time=0.1, aborted=0.15, read_p=0.05, write_p=0.1),
+            costs(
+                Protocol.TIMESTAMP_ORDERING, lock_time=0.08, aborted=0.25, read_p=0.1, write_p=0.2
+            ),
+            costs(
+                Protocol.PRECEDENCE_AGREEMENT,
+                lock_time=0.1,
+                aborted=0.15,
+                read_p=0.05,
+                write_p=0.1,
+            ),
         )
         reference = ReferenceModel(load())
         expected = reference.evaluate(*arguments)

@@ -200,7 +200,9 @@ def _fingerprint(database, result):
 class TestRetirement:
     """At FINISHED an issuer keeps only the attempt that committed."""
 
-    @pytest.mark.parametrize("kind", ["grant", "normal-grant", "backoff", "reject", "abort_victim"])
+    @pytest.mark.parametrize(
+        "kind", ["grant", "normal-grant", "backoff", "reject", "abort_victim"]
+    )
     def test_late_reply_to_a_retired_transaction_is_a_no_op(self, kind):
         database, _ = build_database()
         tid = TransactionId(0, 1)
