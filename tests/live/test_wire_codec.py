@@ -17,9 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import pathlib
 import struct
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +51,7 @@ from repro.live.wire import (
 from repro.sim.actor import Message
 from repro.storage.log import CommitDecision, LogEntry
 from repro.system.queue_manager_actor import GrantDelivery
+from tests.live import reference_wire
 
 # ---------------------------------------------------------------------------
 # Strategies over the registered wire types
@@ -458,9 +457,6 @@ class TestMessageEnvelope:
 # Differential against the reference codec
 # ---------------------------------------------------------------------------
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
-import reference_wire  # noqa: E402
-
 
 def assert_same_decoding(new: Message, reference: Message) -> None:
     """Equal envelopes whose payload and metadata agree in exact class throughout."""
@@ -475,6 +471,100 @@ def reference_outcome(action, *args):
         return "ok", action(*args)
     except WireError:
         return "rejected", None
+
+
+#: Tags, field names and keys the random frames draw from, so that many of
+#: them are well-formed or nearly so.
+TAGS = ["tuple", "list", "dict", "TransactionId", "CopyId", "LockMode", "VoteMessage", "Evil"]
+KEYS = ["site", "seq", "item", "transaction", "attempt", "commit", "__t", "v", "x"]
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["READ", "WRITE", "ab", "", "tuple", "__t"]),
+)
+
+
+def _json_values(children):
+    tagged = st.builds(lambda tag, body: {"__t": tag, "v": body}, st.sampled_from(TAGS), children)
+    return st.one_of(
+        tagged,
+        st.builds(
+            lambda tag, body, extra: {"__t": tag, "v": body, **extra},
+            st.sampled_from(TAGS),
+            children,
+            st.dictionaries(st.sampled_from(KEYS), children, max_size=1),
+        ),
+        st.lists(children, max_size=3),
+        st.lists(st.lists(children, min_size=2, max_size=2), max_size=2),
+        st.dictionaries(st.sampled_from(KEYS), children, max_size=3),
+    )
+
+
+json_values = st.recursive(json_leaves, _json_values, max_leaves=10)
+
+frames_json = st.builds(
+    lambda envelope, extra: {**envelope, **extra},
+    st.fixed_dictionaries(
+        {"kind": st.just("k"), "sender": st.just("a"), "receiver": st.just("b")},
+        optional={
+            "payload": json_values,
+            "metadata": st.one_of(
+                st.lists(st.lists(json_values, min_size=2, max_size=2), max_size=2), json_values
+            ),
+            "send_time": st.one_of(st.integers(0, 9), st.floats(0, 9)),
+        },
+    ),
+    st.dictionaries(st.sampled_from(["__t", "v", "extra"]), json_values, max_size=1),
+)
+
+#: The six envelope keys; the reference ignores any other.
+ENVELOPE_KEYS = {"kind", "sender", "receiver", "payload", "send_time", "metadata"}
+
+
+def stricter_case(document) -> bool:
+    """Whether a frame the reference accepts falls in a case the new decoder rejects on purpose.
+
+    They are: an envelope with a ``__t`` key; an envelope key the reference
+    ignores holding anything but a plain JSON value; a tagged object with keys besides
+    ``__t`` and ``v``; and a JSON object where the reference iterated a
+    sequence — a tuple/list/dict tag's body, a dict or metadata pair.
+    """
+
+    def plain(value) -> bool:
+        if isinstance(value, list):
+            return all(plain(item) for item in value)
+        return not isinstance(value, dict)
+
+    def visit(value) -> bool:
+        if isinstance(value, list):
+            return any(visit(item) for item in value)
+        if not isinstance(value, dict):
+            return False
+        if set(value) != {"__t", "v"}:
+            return True
+        body = value["v"]
+        if value["__t"] in ("tuple", "list", "dict"):
+            if isinstance(body, dict):
+                return True
+            if value["__t"] == "dict" and isinstance(body, list):
+                if any(isinstance(pair, dict) for pair in body):
+                    return True
+                return any(visit(item) for pair in body for item in pair)
+        if isinstance(body, dict) and "__t" not in body:
+            return any(visit(item) for item in body.values())
+        return visit(body)
+
+    if "__t" in document:
+        return True
+    if any(not plain(document[key]) for key in set(document) - ENVELOPE_KEYS):
+        return True
+    metadata = document.get("metadata", [])
+    if isinstance(metadata, list) and any(isinstance(pair, dict) for pair in metadata):
+        return True
+    return visit(document.get("payload")) or visit(metadata)
 
 
 class TestReferenceDifferential:
@@ -620,97 +710,3 @@ class TestReferenceDifferential:
             assert_same_decoding(new[1], reference[1])
         else:
             assert stricter_case(json.loads(body)), body
-
-
-#: Tags, field names and keys the random frames draw from, so that many of
-#: them are well-formed or nearly so.
-TAGS = ["tuple", "list", "dict", "TransactionId", "CopyId", "LockMode", "VoteMessage", "Evil"]
-KEYS = ["site", "seq", "item", "transaction", "attempt", "commit", "__t", "v", "x"]
-
-json_leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-3, 300),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from(["READ", "WRITE", "ab", "", "tuple", "__t"]),
-)
-
-
-def _json_values(children):
-    tagged = st.builds(lambda tag, body: {"__t": tag, "v": body}, st.sampled_from(TAGS), children)
-    return st.one_of(
-        tagged,
-        st.builds(
-            lambda tag, body, extra: {"__t": tag, "v": body, **extra},
-            st.sampled_from(TAGS),
-            children,
-            st.dictionaries(st.sampled_from(KEYS), children, max_size=1),
-        ),
-        st.lists(children, max_size=3),
-        st.lists(st.lists(children, min_size=2, max_size=2), max_size=2),
-        st.dictionaries(st.sampled_from(KEYS), children, max_size=3),
-    )
-
-
-json_values = st.recursive(json_leaves, _json_values, max_leaves=10)
-
-frames_json = st.builds(
-    lambda envelope, extra: {**envelope, **extra},
-    st.fixed_dictionaries(
-        {"kind": st.just("k"), "sender": st.just("a"), "receiver": st.just("b")},
-        optional={
-            "payload": json_values,
-            "metadata": st.one_of(
-                st.lists(st.lists(json_values, min_size=2, max_size=2), max_size=2), json_values
-            ),
-            "send_time": st.one_of(st.integers(0, 9), st.floats(0, 9)),
-        },
-    ),
-    st.dictionaries(st.sampled_from(["__t", "v", "extra"]), json_values, max_size=1),
-)
-
-#: The six envelope keys; the reference ignores any other.
-ENVELOPE_KEYS = {"kind", "sender", "receiver", "payload", "send_time", "metadata"}
-
-
-def stricter_case(document) -> bool:
-    """Whether a frame the reference accepts falls in a case the new decoder rejects on purpose.
-
-    They are: an envelope with a ``__t`` key; an envelope key the reference
-    ignores holding anything but a plain JSON value; a tagged object with keys besides
-    ``__t`` and ``v``; and a JSON object where the reference iterated a
-    sequence — a tuple/list/dict tag's body, a dict or metadata pair.
-    """
-
-    def plain(value) -> bool:
-        if isinstance(value, list):
-            return all(plain(item) for item in value)
-        return not isinstance(value, dict)
-
-    def visit(value) -> bool:
-        if isinstance(value, list):
-            return any(visit(item) for item in value)
-        if not isinstance(value, dict):
-            return False
-        if set(value) != {"__t", "v"}:
-            return True
-        body = value["v"]
-        if value["__t"] in ("tuple", "list", "dict"):
-            if isinstance(body, dict):
-                return True
-            if value["__t"] == "dict" and isinstance(body, list):
-                if any(isinstance(pair, dict) for pair in body):
-                    return True
-                return any(visit(item) for pair in body for item in pair)
-        if isinstance(body, dict) and "__t" not in body:
-            return any(visit(item) for item in body.values())
-        return visit(body)
-
-    if "__t" in document:
-        return True
-    if any(not plain(document[key]) for key in set(document) - ENVELOPE_KEYS):
-        return True
-    metadata = document.get("metadata", [])
-    if isinstance(metadata, list) and any(isinstance(pair, dict) for pair in metadata):
-        return True
-    return visit(document.get("payload")) or visit(metadata)

@@ -21,10 +21,8 @@ import sys
 
 import pytest
 
+import wire_corpus  # this directory: first on sys.path under pytest and as a script
 from repro.live.wire import FrameDecoder, decode_frame_body, encode_message
-
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
-import wire_corpus  # noqa: E402
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_wire_frames.json"
 
