@@ -340,8 +340,11 @@ def encode_message(message: Message) -> bytes:
 # Decoding
 # --------------------------------------------------------------------------- #
 
-#: How the object hook decodes each tag: ``(kind, argument)``.
-_TUPLE, _LIST, _DICT, _ENUM, _ID, _RECORD = range(6)
+#: How the object hook decodes each tag: ``(kind, argument)``.  A record's
+#: argument is ``(cls, get, size)``: an id type (``size`` fields, ``get``
+#: reads them from the body in order) is built straight from its field
+#: tuple; a dataclass (``size`` 0) through its constructor.
+_TUPLE, _LIST, _DICT, _ENUM, _RECORD = range(5)
 _DECODERS: Dict[str, Tuple[int, Any]] = {
     "tuple": (_TUPLE, None),
     "list": (_LIST, None),
@@ -375,11 +378,6 @@ def _make_decoder() -> Callable[[Any], Message]:
     last_untagged: Any = _NOTHING
     tagged_lists: set = set()
 
-    def raw_array(body: Any, tag: str) -> Any:
-        if (type(body) is list and id(body) not in tagged_lists) or type(body) is str:
-            return body
-        raise WireError(f"cannot decode {tag!r} payload: body is not a JSON array")
-
     def pairs(body: list) -> dict:
         # Every pair must be a raw JSON array (or a string), never a tagged value.
         if not _PAIR_TYPES.issuperset(map(type, body)):
@@ -404,12 +402,12 @@ def _make_decoder() -> Callable[[Any], Message]:
             raise WireError(f"unknown wire tag {tag!r}")
         body = obj["v"]
         kind, argument = decoder
-        if kind == _ID:
+        if kind == _RECORD:
             if body is not last_untagged:
                 raise WireError(f"record body for {tag!r} is not an object")
             consumed += 1
             cls, get, size = argument
-            if len(body) == size:
+            if size and len(body) == size:
                 try:
                     return _tuple_new(cls, get(body))
                 except KeyError:
@@ -423,15 +421,8 @@ def _make_decoder() -> Callable[[Any], Message]:
                 return argument[body]
             except (KeyError, TypeError) as error:
                 raise WireError(f"cannot decode {tag!r} payload: {error}") from error
-        if kind == _RECORD:
-            if body is not last_untagged:
-                raise WireError(f"record body for {tag!r} is not an object")
-            consumed += 1
-            try:
-                return argument(**body)
-            except Exception as error:
-                raise WireError(f"cannot decode {tag!r} payload: {error}") from error
-        body = raw_array(body, tag)
+        if not ((type(body) is list and id(body) not in tagged_lists) or type(body) is str):
+            raise WireError(f"cannot decode {tag!r} payload: body is not a JSON array")
         if kind == _TUPLE:
             return tuple(body)
         if kind == _DICT:
@@ -502,11 +493,11 @@ def _install(tag: str, cls: type) -> None:
     """
     if _IDS.get(tag) is cls:
         _EMITTERS[cls] = _compile_id(cls)
-        entry = (_ID, (cls, itemgetter(*cls._fields), len(cls._fields)))
+        entry = (_RECORD, (cls, itemgetter(*cls._fields), len(cls._fields)))
     else:
         _EMITTERS[cls] = _compile_record(cls)
-        entry = (_RECORD, cls)
-    if _DECODERS.setdefault(tag, entry)[0] == entry[0]:
+        entry = (_RECORD, (cls, None, 0))
+    if _DECODERS.setdefault(tag, entry)[0] == _RECORD:
         _DECODERS[tag] = entry
 
 
