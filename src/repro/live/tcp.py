@@ -23,9 +23,8 @@ inherited from TCP, mirroring the simulated network's per-channel ordering
 guarantee that the audit pipeline relies on.
 
 Writes are coalesced: a pump writes everything queued for its site since
-it last ran as one buffer, and frames on a reverse route collect per
-connection until one ``call_soon`` flushes them, so a peer gets one socket
-write per event-loop tick rather than one per message.
+it last ran as one buffer, so a site gets one socket write per pump wake-up
+rather than one per message.
 """
 
 from __future__ import annotations
@@ -122,9 +121,6 @@ class TcpTransport(Transport):
         # for names with no route yet wait in ``_pending_routes``.
         self._reverse_routes: Dict[str, asyncio.StreamWriter] = {}
         self._pending_routes: Dict[str, List[bytes]] = {}
-        # Reverse-route frames written this tick, per connection, in send
-        # order; ``_flush_reverse`` (one ``call_soon``) writes each list at once.
-        self._reverse_out: Dict[asyncio.StreamWriter, List[bytes]] = {}
         # Receiver name -> its site when that site is in the cluster map
         # (a static route), else None; parsed once per name.
         self._static_sites: Dict[str, Optional[int]] = {}
@@ -221,7 +217,7 @@ class TcpTransport(Transport):
             return message
         route = self._reverse_routes.get(receiver_name)
         if route is not None:
-            self._write_reverse(route, frame)
+            route.write(frame)
             return message
         # No route yet (e.g. a reply racing the peer's hello): hold the
         # frame until the route is learned rather than dropping it.
@@ -266,7 +262,6 @@ class TcpTransport(Transport):
     async def close(self) -> None:
         """Stop the listener, the pumps and every reader task."""
         self._closed = True
-        self._flush_reverse()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -301,11 +296,8 @@ class TcpTransport(Transport):
             self.errors.append(error)
 
     def _deliver(self, actor: Actor, message: Message) -> None:
-        kind, sender, receiver, payload, send_time, _, metadata = message
         try:
-            actor.handle(
-                Message(kind, sender, receiver, payload, send_time, self._loop.time(), metadata)
-            )
+            actor.handle(message.replace(deliver_time=self.now))
         except Exception as error:  # noqa: BLE001 - supervisor surfaces it
             logger.exception(
                 "%s: actor %s failed handling %r from %s",
@@ -323,22 +315,6 @@ class TcpTransport(Transport):
                 site = None
             self._static_sites[name] = site
             return site
-
-    def _write_reverse(self, writer: asyncio.StreamWriter, frame: bytes) -> None:
-        """Queue ``frame`` on a reverse route; the tick's frames go out in one write."""
-        if not self._reverse_out:
-            self._loop.call_soon(self._flush_reverse)
-        frames = self._reverse_out.get(writer)
-        if frames is None:
-            self._reverse_out[writer] = [frame]
-        else:
-            frames.append(frame)
-
-    def _flush_reverse(self) -> None:
-        pending, self._reverse_out = self._reverse_out, {}
-        for writer, frames in pending.items():
-            if not writer.is_closing():
-                writer.write(b"".join(frames))
 
     def _enqueue(self, site: int, frame: bytes) -> None:
         if site not in self._outboxes:
@@ -428,7 +404,7 @@ class TcpTransport(Transport):
         if self._reverse_routes.get(sender) is not writer:
             self._reverse_routes[sender] = writer
             for frame in self._pending_routes.pop(sender, []):
-                self._write_reverse(writer, frame)
+                writer.write(frame)
 
     def _dispatch(self, message: Message) -> None:
         actor = self._actors.get(message.receiver)

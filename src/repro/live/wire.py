@@ -20,16 +20,16 @@ round-trip is byte-identical, which the Hypothesis property tests pin.
 The bytes are those of ``json.dumps(document, separators=(",", ":"),
 sort_keys=True)`` over the tagged document, but the codec never builds that
 document.  Encoding is compiled: every registered record and id type gets
-one emitter, made when this module loads (and when
-:func:`register_wire_dataclass` adds a class) from code generated once per
-field count.  It reads the fields with one ``operator.attrgetter`` (an
-id's with one ``itemgetter``) and writes JSON text directly, with the keys
-pre-sorted and pre-escaped.  Each field is dispatched on its exact class:
-``None``, the booleans and every enum member are constant text, strings
-are escaped by ``json``'s own C escaper and floats written by
-``float.__repr__``, as ``json.dumps`` writes them.  A value whose exact
-class has no emitter (a subclass, an unregistered type) takes the generic
-path, which follows the tagged format's rules one ``isinstance`` at a time.
+one emitter, a closure made when this module loads (and when
+:func:`register_wire_dataclass` adds a class).  It reads the fields with
+one ``operator.attrgetter`` (an id's with one ``itemgetter``) and writes
+JSON text directly, with the keys pre-sorted and pre-escaped.  Each field
+is dispatched on its exact class: ``None``, the booleans and every enum
+member are constant text, strings are escaped by ``json``'s own C escaper
+and floats written by ``float.__repr__``, as ``json.dumps`` writes them.  A
+value whose exact class has no emitter (a subclass, an unregistered type)
+takes the generic path, which follows the tagged format's rules one
+``isinstance`` at a time.
 Decoding runs inside ``json``'s C parser: its object hook turns each tagged
 object into its value bottom-up, and an untagged object is accepted only as
 the envelope or as a record's body.  ``tests/live/golden_wire_frames.json``
@@ -222,57 +222,35 @@ _EMITTERS: Dict[type, Callable[[Any], str]] = _Emitters(
     }
 )
 
-#: A field value's text, inlined into every generated emitter: a constant,
-#: or the emitter of the value's exact class.
-_FIELD = "{{_constant_text(_id({0})) or _emitters[_type({0})]({0})}}"
-
-_EMITTER_GLOBALS = {
-    "_constant_text": _constant_text,
-    "_id": id,
-    "_type": type,
-    "_emitters": _EMITTERS,
-}
-
-#: Emitter factories by field count, compiled once each: an emitter's code
-#: depends only on how many fields it writes.
-_FACTORIES: Dict[int, Callable[..., Callable[[Any], str]]] = {}
-
-
-def _emitter_factory(arity: int) -> Callable[..., Callable[[Any], str]]:
-    """``make(get, c0, ..., c{arity})``: an emitter writing ``c0 f0 c1 f1 ... c{arity}``.
-
-    ``get(value)`` returns the ``arity`` field values in output order (one
-    bare value when ``arity`` is 1, as ``attrgetter`` and ``itemgetter``
-    do).  The constant chunks reach the emitter as closure cells, so no tag
-    or field name is ever parsed as source.
-    """
-    factory = _FACTORIES.get(arity)
-    if factory is None:
-        fields = [f"f{index}" for index in range(arity)]
-        text = "".join(f"{{_c{index}}}" + _FIELD.format(name) for index, name in enumerate(fields))
-        chunks = ", ".join(f"_c{index}" for index in range(arity + 1))
-        source = (
-            f"def _make(_get, {chunks}):\n"
-            "    def emit(value):\n"
-            f"        {', '.join(fields)} = _get(value)\n"
-            f'        return f"{text}{{_c{arity}}}"\n'
-            "    return emit\n"
-        )
-        namespace = dict(_EMITTER_GLOBALS)
-        exec(source, namespace)  # the source holds generated local names only
-        factory = _FACTORIES[arity] = namespace["_make"]
-    return factory
-
 
 def _compile_emitter(tag: str, names: List[str], get: Callable) -> Callable[[Any], str]:
-    """The emitter of a record tagged ``tag`` whose ``get`` reads ``names`` (sorted) in order."""
+    """The emitter of a record tagged ``tag`` whose ``get`` reads ``names`` (sorted) in order.
+
+    ``get(value)`` returns the field values in that order (one bare value
+    for a single field, as ``attrgetter`` and ``itemgetter`` do); each is
+    written after its pre-escaped key.
+    """
+    head = f'{{"__t":{_escape(tag)},"v":{{'
     if not names:
-        text = f'{{"__t":{_escape(tag)},"v":{{}}}}'
+        text = head + "}}"
         return lambda value: text
-    chunks = [f'{{"__t":{_escape(tag)},"v":{{{_escape(names[0])}:']
-    chunks += [f",{_escape(name)}:" for name in names[1:]]
-    chunks.append("}}")
-    return _emitter_factory(len(names))(get, *chunks)
+    keys = [f"{_escape(names[0])}:"] + [f",{_escape(name)}:" for name in names[1:]]
+    if len(names) == 1:
+        head += keys[0]
+
+        def emit_one(value: Any) -> str:
+            x = get(value)
+            return f"{head}{_constant_text(id(x)) or _EMITTERS[type(x)](x)}}}}}"
+
+        return emit_one
+
+    def emit(value: Any) -> str:
+        text = head
+        for key, x in zip(keys, get(value)):
+            text += key + (_constant_text(id(x)) or _EMITTERS[type(x)](x))
+        return text + "}}"
+
+    return emit
 
 
 def _compile_record(cls: Type[Any]) -> Callable[[Any], str]:

@@ -44,6 +44,7 @@ from repro.sim.actor import Message
 from repro.storage.log import CommitDecision, LogEntry
 from repro.system.queue_manager_actor import GrantDelivery
 
+
 class _SubFloat(float):
     """A float whose ``str`` and ``repr`` are not ``float.__repr__``; the wire ignores both."""
 
