@@ -1,24 +1,21 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test check-docs api-docs check-api-docs bench bench-smoke bench-baseline bench-gate memory-gate \
-	bench-ledger ledger-selftest ledger-digests ledger-panel qm-differential trace-pin
+.PHONY: test check-docs api-docs bench-smoke memory-gate bench-ledger ledger-selftest \
+	ledger-digests ledger-panel qm-differential trace-pin
 
 ## tier-1 verification gate
 test:
 	$(PY) -m pytest -x -q
 
-## documentation cross-reference + docstring-coverage gate
-check-docs:
+## documentation cross-reference + docstring-coverage gate (generates docs/api/
+## first: the hand-written docs link into it)
+check-docs: api-docs
 	$(PY) tools/check_docs.py
 
-## regenerate the Markdown API reference under docs/api/ from docstrings
+## generate the Markdown API reference under docs/api/ from docstrings (not committed)
 api-docs:
 	$(PY) tools/gen_api_docs.py
-
-## fail if docs/api/ is stale relative to the source docstrings
-check-api-docs:
-	$(PY) tools/gen_api_docs.py --check
 
 ## per-actor message-trace digests of every scenario and the wire codec's frame
 ## digests (~2 s); `make trace-pin ARGS=--write` re-pins both after a deliberate
@@ -31,25 +28,16 @@ else
 	$(PY) -m pytest tests/system/test_message_traces.py tests/live/test_wire_pin.py -q
 endif
 
-## perf-regression gate: current hot paths vs BENCH_BASELINE.json (>2.5x fails)
-bench-gate:
-	$(PY) tools/check_bench.py
-
 ## memory-regression gate: a streaming run's memory per transaction stays flat across 10x runs
 memory-gate:
 	$(PY) -m pytest tests/system/test_streaming_memory.py -q
 
-## hot-path + store micros and the E10 availability experiment as plain
-## tests (no timing) — fast sanity check
+## store micros and the E10-E12 experiments as plain tests (no timing) — fast
+## sanity check
 bench-smoke:
-	$(PY) -m pytest benchmarks/bench_micro_hotpaths.py benchmarks/bench_store.py \
-		benchmarks/bench_e10_availability.py benchmarks/bench_e11_recovery.py \
-		benchmarks/bench_e12_sim_live.py \
+	$(PY) -m pytest benchmarks/bench_store.py benchmarks/bench_e10_availability.py \
+		benchmarks/bench_e11_recovery.py benchmarks/bench_e12_sim_live.py \
 		-q --benchmark-disable
-
-## full pytest-benchmark run of the hot-path micros
-bench:
-	$(PY) -m pytest benchmarks/bench_micro_hotpaths.py -q
 
 ## full perf ledger (five pinned workloads, end to end + per layer, ~3 min):
 ## `make bench-ledger N=14` writes BENCH_PR14.json at the repo root
@@ -72,10 +60,6 @@ BASES ?= 1-10
 K ?= 60
 ledger-panel:
 	$(PY) tools/ledger_panel.py --workload $(W) --bases $(BASES) --count $(K)
-
-## refresh BENCH_BASELINE.json (seed vs optimised A/B; exits non-zero on drift)
-bench-baseline:
-	$(PY) benchmarks/baseline.py
 
 ## the queue manager against the Section 4 reference scheduler, 2,000 examples per test
 qm-differential:

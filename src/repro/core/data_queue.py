@@ -22,8 +22,7 @@ The queue keeps three synchronised structures:
   and the closing :meth:`refile` / :meth:`resort` — lookups stay consistent
   because they use the key an entry was *filed* under;
 * ``_by_request`` / ``_by_transaction`` — hash indices making ``find`` O(1)
-  and ``entries_of`` / ``remove_transaction`` O(k) in the number of the
-  transaction's own entries.
+  and ``entries_of`` O(k) in the number of the transaction's own entries.
 
 ``_head_hint`` caches a lower bound on the index of the first ungranted entry
 so ``head()`` / ``ungranted()`` do not rescan the granted prefix on every
@@ -164,13 +163,6 @@ class DataQueue:
         if position < self._head_hint:
             self._head_hint -= 1
 
-    def remove_transaction(self, transaction: TransactionId) -> Tuple[QueuedRequest, ...]:
-        """Remove every entry of ``transaction`` and return them."""
-        removed = self.entries_of(transaction)
-        for entry in removed:
-            self.remove(entry.request_id)
-        return removed
-
     def resort(self) -> None:
         """Re-establish precedence order after an entry's precedence changed.
 
@@ -224,16 +216,6 @@ class DataQueue:
         return tuple(
             entry for entry in self._entries[self._head_hint :] if not entry.granted
         )
-
-    def granted(self) -> Tuple[QueuedRequest, ...]:
-        """All granted entries in precedence order."""
-        return tuple(entry for entry in self._entries if entry.granted)
-
-    def entries_before(self, entry: QueuedRequest) -> Tuple[QueuedRequest, ...]:
-        """Entries strictly ahead of ``entry`` in precedence order."""
-        if self._by_request.get(entry.request_id) is not entry:
-            return ()
-        return tuple(self._entries[: self._index_of(entry)])
 
     def _index_of(self, entry: QueuedRequest) -> int:
         """Position of ``entry`` via binary search on its filed key."""

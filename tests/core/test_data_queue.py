@@ -72,7 +72,7 @@ class TestHeadRule:
         a.granted = True
         queue.insert(a)
         queue.insert(b)
-        assert queue.granted() == (a,)
+        assert [item for item in queue if item.granted] == [a]
         assert queue.ungranted() == (b,)
 
 
@@ -103,16 +103,6 @@ class TestLookupAndRemoval:
         with pytest.raises(ProtocolError):
             DataQueue().remove(entry(1.0).request_id)
 
-    def test_remove_transaction_removes_all_of_its_entries(self):
-        queue = DataQueue()
-        a = entry(1.0, seq=1)
-        b = entry(2.0, seq=2)
-        queue.insert(a)
-        queue.insert(b)
-        removed = queue.remove_transaction(TransactionId(0, 1))
-        assert removed == (a,)
-        assert queue.entries() == (b,)
-
 
 class TestReordering:
     def test_resort_after_precedence_change(self):
@@ -123,14 +113,6 @@ class TestReordering:
         a.precedence = a.precedence.with_timestamp(5.0)
         queue.resort()
         assert queue.entries() == (b, a)
-
-    def test_entries_before(self):
-        queue = DataQueue()
-        a, b, c = entry(1.0, seq=1), entry(2.0, seq=2), entry(3.0, seq=3)
-        for item in (a, b, c):
-            queue.insert(item)
-        assert queue.entries_before(c) == (a, b)
-        assert queue.entries_before(a) == ()
 
     def test_blocked_status_flag(self):
         blocked = entry(1.0, status=EntryStatus.BLOCKED)

@@ -7,6 +7,11 @@ observable against a naive list model that re-implements the original
 unindexed behaviour (append + stable sort, linear scans).  Both containers
 hold the *same* entry objects, so mutations (grants, precedence changes) are
 seen by both and only the bookkeeping differs.
+
+:meth:`DataQueue.refile` is checked against the model's full stable re-sort,
+including the order the queue manager calls it in when a PA timestamp update
+re-handles intermediate conflicts: ``entries_of(t)`` first, then a full
+``resort()``, then ``refile`` of that (now stale-ordered) batch.
 """
 
 from hypothesis import given, settings
@@ -44,11 +49,6 @@ class NaiveDataQueue:
         self.entries.remove(entry)
         return entry
 
-    def remove_transaction(self, transaction):
-        removed = self.entries_of(transaction)
-        self.entries = [e for e in self.entries if e.transaction != transaction]
-        return removed
-
     def resort(self):
         self.entries.sort(key=lambda e: e.precedence.sort_key())
 
@@ -61,28 +61,25 @@ class NaiveDataQueue:
     def ungranted(self):
         return tuple(e for e in self.entries if not e.granted)
 
-    def granted(self):
-        return tuple(e for e in self.entries if e.granted)
-
-    def entries_before(self, entry):
-        result = []
-        for candidate in self.entries:
-            if candidate is entry:
-                break
-            result.append(candidate)
-        return tuple(result)
-
 
 PROTOCOLS = (
     Protocol.TWO_PHASE_LOCKING,
     Protocol.TIMESTAMP_ORDERING,
     Protocol.PRECEDENCE_AGREEMENT,
 )
+TRANSACTION_PICKS = st.integers(min_value=0, max_value=5)
+TIMESTAMPS = st.floats(min_value=0.0, max_value=8.0)
+PROTOCOL_PICKS = st.integers(min_value=0, max_value=2)
 
 
 @st.composite
 def operation_sequences(draw):
-    """A list of (op, args) tuples driving both queue implementations."""
+    """A list of (op, args) tuples driving both queue implementations.
+
+    A drawn run of inserts comes first, so the later steps usually find
+    transactions with several queued entries (what a refile batch needs).
+    """
+    prefix = draw(st.lists(st.tuples(TRANSACTION_PICKS, TIMESTAMPS, PROTOCOL_PICKS), max_size=20))
     ops = draw(
         st.lists(
             st.tuples(
@@ -90,21 +87,22 @@ def operation_sequences(draw):
                     [
                         "insert",
                         "remove",
-                        "remove_transaction",
                         "grant_head",
                         "retime_and_resort",
+                        "retime_and_refile",
+                        "resort_then_refile",
                         "find_missing",
                     ]
                 ),
-                st.integers(min_value=0, max_value=5),    # transaction picker
-                st.floats(min_value=0.0, max_value=8.0),  # timestamp
-                st.integers(min_value=0, max_value=2),    # protocol picker
+                TRANSACTION_PICKS,
+                TIMESTAMPS,
+                PROTOCOL_PICKS,
             ),
             min_size=1,
             max_size=60,
         )
     )
-    return ops
+    return [("insert", *args) for args in prefix] + ops
 
 
 def check_agreement(queue: DataQueue, model: NaiveDataQueue):
@@ -113,13 +111,23 @@ def check_agreement(queue: DataQueue, model: NaiveDataQueue):
     assert len(queue) == len(model.entries)
     assert queue.head() is model.head()
     assert queue.ungranted() == model.ungranted()
-    assert queue.granted() == model.granted()
     for entry in model.entries:
         assert queue.find(entry.request_id) is entry
-        assert queue.entries_before(entry) == model.entries_before(entry)
     for txn_seq in range(1, 7):
         transaction = TransactionId(0, txn_seq)
         assert queue.entries_of(transaction) == model.entries_of(transaction)
+
+
+def queued_transaction(model, pick):
+    """The transaction of a queued entry (an empty batch tests nothing)."""
+    if not model.entries:
+        return TransactionId(0, pick + 1)
+    return model.entries[pick % len(model.entries)].transaction
+
+
+def retime(entries, timestamp):
+    for entry in entries:
+        entry.precedence = entry.precedence.with_timestamp(timestamp)
 
 
 class TestDataQueueMatchesNaiveModel:
@@ -158,9 +166,6 @@ class TestDataQueueMatchesNaiveModel:
                     victim = model.entries[txn_pick % len(model.entries)]
                     removed = queue.remove(victim.request_id)
                     assert removed is model.remove(victim.request_id)
-            elif op == "remove_transaction":
-                removed = queue.remove_transaction(transaction)
-                assert removed == model.remove_transaction(transaction)
             elif op == "grant_head":
                 head = model.head()
                 if head is not None:
@@ -172,6 +177,27 @@ class TestDataQueueMatchesNaiveModel:
                     target.precedence = target.precedence.with_timestamp(timestamp)
                     queue.resort()
                     model.resort()
+            elif op == "retime_and_refile":
+                # One transaction's entries move together (a PA timestamp
+                # agreement); re-filing them must equal a full stable re-sort.
+                batch = queue.entries_of(queued_transaction(model, txn_pick))
+                retime(batch, timestamp)
+                queue.refile(batch)
+                model.resort()
+            elif op == "resort_then_refile":
+                # The batch is taken before a full resort reorders it, as
+                # update_timestamp does when a granted entry's bump re-handles
+                # intermediate conflicts: its first entry moves behind every
+                # drawn timestamp, then its siblings tie with it there, so
+                # refile must keep the current order, not the batch's.
+                late = 10.0 + timestamp
+                batch = queue.entries_of(queued_transaction(model, txn_pick))
+                retime(batch[:1], late)
+                queue.resort()
+                model.resort()
+                retime(batch, late)
+                queue.refile(batch)
+                model.resort()
             elif op == "find_missing":
                 missing = make_request(tid=transaction, index=10_000 + txn_pick)
                 assert queue.find(missing.request_id) is None

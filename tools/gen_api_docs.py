@@ -4,13 +4,13 @@
 One page per module under ``src/repro/`` plus an ``index.md``, written to
 ``docs/api/``.  Everything is extracted statically with :mod:`ast` — module,
 class and function docstrings, and signatures taken verbatim from the source
-lines — so the output is deterministic across Python versions and machines,
-which lets CI diff it byte-for-byte.
+lines — so the output is deterministic across Python versions and machines.
+The pages are generated, not committed: ``make check-docs`` writes them
+before it resolves the hand-written docs' links into them.
 
 Usage::
 
     python tools/gen_api_docs.py            # (re)write docs/api/
-    python tools/gen_api_docs.py --check    # exit 1 if docs/api/ is stale
 
 The docstring-coverage gate in ``tools/check_docs.py`` guarantees every
 public definition rendered here actually has prose to show.
@@ -209,10 +209,8 @@ def render_experiments() -> str:
         )
     out += [
         "",
-        "Benchmarks without an experiment id: `benchmarks/bench_scenarios.py`",
-        "(the named-scenario suite), `benchmarks/bench_micro_hotpaths.py`",
-        "(hot-path micros vs. `BENCH_BASELINE.json`), and `benchmarks/bench_store.py`",
-        "(result-store micros).",
+        "Benchmarks without an experiment id: `benchmarks/bench_store.py`",
+        "(result-store micros) and the perf ledger under `benchmarks/ledger/`.",
     ]
     return "\n".join(out) + "\n"
 
@@ -249,38 +247,13 @@ def write(pages: Dict[str, str]) -> Tuple[int, int]:
     return written, removed
 
 
-def check(pages: Dict[str, str]) -> List[str]:
-    """Problems that make docs/api/ stale (empty list when current)."""
-    problems: List[str] = []
-    for name, content in pages.items():
-        target = OUTPUT / name
-        if not target.exists():
-            problems.append(f"docs/api/{name}: missing (run `make api-docs`)")
-        elif target.read_text(encoding="utf-8") != content:
-            problems.append(f"docs/api/{name}: out of date (run `make api-docs`)")
-    if OUTPUT.exists():
-        for stale in sorted(OUTPUT.glob("*.md")):
-            if stale.name not in pages:
-                problems.append(f"docs/api/{stale.name}: stale page with no module")
-    return problems
-
-
-def main(argv: List[str]) -> int:
-    """Entry point: generate, or verify with ``--check``."""
+def main() -> int:
+    """Entry point: (re)write every page."""
     pages = generate()
-    if "--check" in argv:
-        problems = check(pages)
-        if problems:
-            print("api-docs: STALE")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"api-docs: {len(pages)} pages current")
-        return 0
     written, removed = write(pages)
     print(f"api-docs: {len(pages)} pages ({written} updated, {removed} removed)")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
