@@ -11,8 +11,12 @@ from repro.core.precedence import Precedence
 from tests.conftest import make_request
 
 
-def entry(ts, seq=1, site=0, protocol=Protocol.TIMESTAMP_ORDERING, status=EntryStatus.ACCEPTED):
-    request = make_request(site=site, seq=seq, protocol=protocol, timestamp=ts, item=0)
+def entry(
+    ts, seq=1, site=0, protocol=Protocol.TIMESTAMP_ORDERING, status=EntryStatus.ACCEPTED, index=0
+):
+    request = make_request(
+        site=site, seq=seq, index=index, protocol=protocol, timestamp=ts, item=0
+    )
     precedence = Precedence(
         timestamp=ts,
         protocol=protocol,
@@ -113,6 +117,41 @@ class TestReordering:
         a.precedence = a.precedence.with_timestamp(5.0)
         queue.resort()
         assert queue.entries() == (b, a)
+
+    def test_refile_moves_a_retimed_transaction(self):
+        queue = DataQueue()
+        a, a2 = entry(1.0, seq=1), entry(1.0, seq=1, index=1)
+        b, c = entry(2.0, seq=2), entry(3.0, seq=3)
+        for item in (a, b, a2, c):
+            queue.insert(item)
+        assert queue.entries() == (a, a2, b, c)
+        batch = queue.entries_of(a.request.transaction)
+        for item in batch:
+            item.precedence = item.precedence.with_timestamp(2.5)
+        queue.refile(batch)
+        assert queue.entries() == (b, a, a2, c)
+        assert queue.head() is b
+        assert queue.remove(a2.request_id) is a2
+        assert queue.entries() == (b, a, c)
+
+    def test_refile_after_resort_keeps_current_order(self):
+        # update_timestamp takes the batch, then a full resort moves its
+        # first entry, then the rest tie with it: refile must keep the
+        # resorted order (a2 before a), not the batch's (a before a2).
+        queue = DataQueue()
+        a, a2 = entry(1.0, seq=1), entry(1.0, seq=1, index=1)
+        b, c = entry(2.0, seq=2), entry(3.0, seq=3)
+        for item in (a, a2, b, c):
+            queue.insert(item)
+        batch = queue.entries_of(a.request.transaction)
+        assert batch == (a, a2)
+        a.precedence = a.precedence.with_timestamp(5.0)
+        queue.resort()
+        assert queue.entries() == (a2, b, c, a)
+        a2.precedence = a2.precedence.with_timestamp(5.0)
+        queue.refile(batch)
+        assert queue.entries() == (b, c, a2, a)
+        assert queue.entries_of(a.request.transaction) == (a2, a)
 
     def test_blocked_status_flag(self):
         blocked = entry(1.0, status=EntryStatus.BLOCKED)
