@@ -2,7 +2,7 @@ PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test check-docs api-docs bench-smoke memory-gate bench-ledger ledger-selftest \
-	ledger-digests ledger-panel qm-differential trace-pin
+	ledger-digests ledger-panel qm-differential trace-pin reach
 
 ## tier-1 verification gate
 test:
@@ -64,3 +64,9 @@ ledger-panel:
 ## the queue manager against the Section 4 reference scheduler, 2,000 examples per test
 qm-differential:
 	$(PY) -m pytest tests/properties/test_queue_manager_reference.py -q --hypothesis-profile=qm-differential
+
+## every src/repro function is run by a product entry point (scenarios, run,
+## sweeps, store commands, examples; ~1 min) or listed with its reason in
+## tools/reachability_allowlist.txt; a stale allowlist line fails too
+reach:
+	$(PY) tools/reachability.py

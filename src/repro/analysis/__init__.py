@@ -17,7 +17,6 @@ from repro._exports import lazy_exports
 __all__ = [
     "ReplicatedResult",
     "SimulationTask",
-    "compare_protocols_replicated",
     "correctness_audit",
     "drift_adaptation_experiment",
     "dynamic_vs_static",
@@ -50,8 +49,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.analysis.replications": (
             "ReplicatedResult",
             "SimulationTask",
-            "compare_protocols_replicated",
-            "run_replicated",
+                    "run_replicated",
             "run_tasks",
         ),
         "repro.analysis.tables": ("format_table", "rows_to_table"),

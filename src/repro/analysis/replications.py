@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.config import SystemConfig, WorkloadConfig
 from repro.common.protocol_names import Protocol
@@ -233,16 +233,6 @@ class AggregatedMetric:
     halfwidth: float
     samples: int
 
-    @property
-    def low(self) -> float:
-        """Lower edge of the confidence interval (``mean - halfwidth``)."""
-        return self.mean - self.halfwidth
-
-    @property
-    def high(self) -> float:
-        """Upper edge of the confidence interval (``mean + halfwidth``)."""
-        return self.mean + self.halfwidth
-
 
 @dataclass
 class ReplicatedResult:
@@ -388,52 +378,3 @@ def run_replicated(
     )
     result.summaries = tuple(summaries)
     return result
-
-
-def compare_protocols_replicated(
-    system: SystemConfig,
-    workload: WorkloadConfig,
-    *,
-    protocols: Iterable[Union[str, Protocol]] = ("2PL", "T/O", "PA"),
-    include_dynamic: bool = False,
-    seeds: Sequence[int] = (0, 1, 2),
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-) -> List[Dict[str, object]]:
-    """Replicated comparison of the static protocols (and optionally the selector).
-
-    All (protocol, seed) combinations are flattened into one task list, so a
-    parallel run overlaps protocols as well as replications.
-    """
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    groups: List[Tuple[str, List[SimulationTask]]] = [
-        (
-            _default_label(protocol, False),
-            replication_tasks(system, workload, protocol=protocol, seeds=seeds),
-        )
-        for protocol in protocols
-    ]
-    if include_dynamic:
-        groups.append(
-            (
-                _default_label(None, True),
-                replication_tasks(system, workload, dynamic_selection=True, seeds=seeds),
-            )
-        )
-    flat_tasks = [task for _, tasks in groups for task in tasks]
-    summaries = run_tasks(flat_tasks, jobs=jobs, store=store, force=force)
-    rows: List[Dict[str, object]] = []
-    cursor = 0
-    for label, tasks in groups:
-        group_summaries = summaries[cursor : cursor + len(tasks)]
-        cursor += len(tasks)
-        rows.append(
-            aggregate_replications(
-                label,
-                group_summaries,
-                [task.workload.num_transactions for task in tasks],
-            ).as_row()
-        )
-    return rows

@@ -646,12 +646,21 @@ def _command_store(args: argparse.Namespace) -> int:
 
 
 def _parse_cluster(text: str):
-    """Parse ``host:port,host:port,...`` into a site → address map."""
+    """Parse ``host:port,host:port,...`` into a site → address map.
+
+    Each port must lie in 1-65535, so a mistyped port is a configuration
+    error here rather than a bind failure in a daemon or a driver waiting
+    out its connect deadline.
+    """
     addresses = {}
     for site, part in enumerate(text.split(",")):
         host, _, port = part.strip().rpartition(":")
         if not host or not port.isdigit():
             raise ConfigurationError(f"malformed cluster address {part!r}")
+        if not 1 <= int(port) <= 65535:
+            raise ConfigurationError(
+                f"cluster address {part.strip()!r}: port must be in 1-65535"
+            )
         addresses[site] = (host, int(port))
     return addresses
 

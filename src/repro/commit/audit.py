@@ -79,7 +79,6 @@ class StreamingReplicaAuditor:
         self._values: Dict[CopyId, Any] = {}
         self._counts: Dict[CopyId, int] = {}
         self._digests: Dict[CopyId, "hashlib._Hash"] = {}
-        self._writes_observed = 0
 
     # Observer protocol (ValueStore.attach_write_observer) --------------- #
 
@@ -92,7 +91,6 @@ class StreamingReplicaAuditor:
         """Mirror one committed write to ``copy``."""
         self._values[copy] = value
         self._counts[copy] = self._counts.get(copy, 0) + 1
-        self._writes_observed += 1
         self._fold(copy, "write", value)
 
     def _fold(self, copy: CopyId, kind: str, value: Any) -> None:
@@ -102,16 +100,6 @@ class StreamingReplicaAuditor:
         digest.update(f"{kind}:{value!r};".encode())
 
     # Reporting ---------------------------------------------------------- #
-
-    @property
-    def writes_observed(self) -> int:
-        """Committed writes folded so far (initialisations excluded)."""
-        return self._writes_observed
-
-    def copy_digest(self, copy: CopyId) -> str:
-        """Hex digest of ``copy``'s observed write sequence (diagnostic only)."""
-        digest = self._digests.get(copy)
-        return digest.hexdigest() if digest is not None else ""
 
     def report(self, catalog: ReplicaCatalog) -> ReplicaReport:
         """The same verdict :func:`check_replica_convergence` would produce."""

@@ -92,7 +92,6 @@ class CommitParticipantActor(Actor):
         self._value_store = value_store
         self._managers = dict(managers)
         self._log = commit_log
-        self._recoveries = 0
         self._commit_config = commit_config if commit_config is not None else CommitConfig()
         self._termination_enabled = self._commit_config.termination_protocol
         # The in-doubt watchdog only exists when it can ever matter: either
@@ -107,11 +106,6 @@ class CommitParticipantActor(Actor):
     def commit_log(self) -> SiteCommitLog:
         """The durable commit log backing this participant."""
         return self._log
-
-    @property
-    def recoveries(self) -> int:
-        """Number of site recoveries this participant has run its protocol for."""
-        return self._recoveries
 
     # ---------------------------------------------------------------- #
     # Message handling
@@ -327,7 +321,6 @@ class CommitParticipantActor(Actor):
         in_doubt = self._log.in_doubt_records()
         if not in_doubt:
             return
-        self._recoveries += 1
         for record in in_doubt:
             for request in record.requests:
                 self._managers[request.copy].restore_lock(request, now)

@@ -16,7 +16,6 @@ from repro._exports import lazy_exports
 __all__ = [
     "ConfigurationError",
     "CopyId",
-    "DeadlockError",
     "ItemId",
     "LogicalOperation",
     "NetworkConfig",
@@ -27,11 +26,9 @@ __all__ = [
     "ProtocolMix",
     "ReproError",
     "RequestId",
-    "SerializationViolationError",
     "SimulationError",
     "SiteId",
     "SystemConfig",
-    "TransactionAbortedError",
     "TransactionId",
     "TransactionSpec",
     "TransactionStatus",
@@ -45,13 +42,10 @@ __getattr__, __dir__ = lazy_exports(
         "repro.common.config": ("NetworkConfig", "ProtocolMix", "SystemConfig", "WorkloadConfig"),
         "repro.common.errors": (
             "ConfigurationError",
-            "DeadlockError",
-            "ProtocolError",
+                    "ProtocolError",
             "ReproError",
-            "SerializationViolationError",
-            "SimulationError",
-            "TransactionAbortedError",
-            "UnknownProtocolError",
+                    "SimulationError",
+                    "UnknownProtocolError",
         ),
         "repro.common.ids": ("CopyId", "ItemId", "RequestId", "SiteId", "TransactionId"),
         "repro.common.operations": ("LogicalOperation", "OperationType", "PhysicalOperation"),

@@ -282,14 +282,11 @@ class ProtocolMix:
         total = sum(self.weights.values())
         return {protocol: weight / total for protocol, weight in self.weights.items()}
 
-    def sample(self, uniform_draw: float) -> Protocol:
-        """Map a uniform(0, 1) draw onto a protocol according to the weights."""
-        return self.sampler()(uniform_draw)
-
     def sampler(self) -> Callable[[float], Protocol]:
-        """:meth:`sample` with its cumulative table built once, for many draws.
+        """Map uniform(0, 1) draws onto protocols according to the weights.
 
-        A draw maps to the first protocol whose running sum of normalised
+        The returned function holds the cumulative table, built once for
+        many draws.  A draw maps to the first protocol whose running sum of normalised
         weights (added in mix order) reaches it; a draw above the last sum,
         which rounding can leave just below one, maps to the last protocol.
         """
@@ -520,21 +517,6 @@ class DriftConfig:
         positions = [segment.at for segment in self.segments]
         if positions != sorted(positions) or len(set(positions)) != len(positions):
             raise ConfigurationError("drift segments must have strictly increasing `at`")
-
-    @property
-    def onset(self) -> float:
-        """Stream fraction of the first control point.
-
-        In piecewise mode the workload is exactly the base regime before
-        this; in smooth mode the ramp toward the first control point is
-        already under way (see the class docstring).
-        """
-        return self.segments[0].at
-
-    @property
-    def settled(self) -> float:
-        """Stream fraction from which no further regime change occurs."""
-        return self.segments[-1].at
 
     def drifts_arrival_rate(self) -> bool:
         """Whether any segment moves the arrival rate (needs Poisson arrivals)."""

@@ -35,32 +35,3 @@ class ProtocolError(ReproError):
 
 class UnknownProtocolError(ProtocolError):
     """A protocol name was requested that is not registered."""
-
-
-class TransactionAbortedError(ReproError):
-    """A transaction was aborted and must be restarted by its coordinator."""
-
-    def __init__(self, transaction_id: object, reason: str) -> None:
-        super().__init__(f"transaction {transaction_id} aborted: {reason}")
-        self.transaction_id = transaction_id
-        self.reason = reason
-
-
-class DeadlockError(TransactionAbortedError):
-    """A transaction was chosen as the victim of a detected deadlock cycle."""
-
-    def __init__(self, transaction_id: object, cycle: tuple) -> None:
-        super().__init__(transaction_id, "deadlock victim")
-        self.cycle = cycle
-
-
-class SerializationViolationError(ReproError):
-    """The serializability oracle found a cycle in the conflict graph.
-
-    Raised only by the correctness oracle (:mod:`repro.core.serializability`);
-    a correct run of the unified algorithm never triggers it (Theorem 2).
-    """
-
-    def __init__(self, cycle: tuple) -> None:
-        super().__init__(f"conflict graph contains a cycle: {' -> '.join(map(str, cycle))}")
-        self.cycle = cycle

@@ -98,12 +98,3 @@ class PhysicalOperation:
         """True when both operations touch the same copy and one writes."""
         return self.copy == other.copy and self.op_type.conflicts_with(other.op_type)
 
-
-def read(item: ItemId) -> LogicalOperation:
-    """Convenience constructor for a logical read."""
-    return LogicalOperation(OperationType.READ, item)
-
-
-def write(item: ItemId) -> LogicalOperation:
-    """Convenience constructor for a logical write."""
-    return LogicalOperation(OperationType.WRITE, item)

@@ -38,11 +38,6 @@ class TransactionStatus(enum.Enum):
     ABORTED = "aborted"                # rejected (T/O) or deadlock victim (2PL); will restart
     FINISHED = "finished"              # committed and fully cleaned up
 
-    @property
-    def is_terminal(self) -> bool:
-        """Whether the transaction has committed (no further state changes)."""
-        return self in (TransactionStatus.COMMITTED, TransactionStatus.FINISHED)
-
 
 @dataclass(frozen=True)
 class TransactionSpec:
@@ -119,18 +114,6 @@ class TransactionSpec:
     def accessed_items(self) -> Tuple[ItemId, ...]:
         """Distinct logical items accessed, in deterministic order."""
         return tuple(sorted(set(self.read_items) | set(self.write_items)))
-
-    def with_protocol(self, protocol: Protocol) -> "TransactionSpec":
-        """Return a copy of this spec bound to ``protocol`` (used by the dynamic selector)."""
-        return TransactionSpec(
-            tid=self.tid,
-            read_items=self.read_items,
-            write_items=self.write_items,
-            compute_time=self.compute_time,
-            protocol=protocol,
-            arrival_time=self.arrival_time,
-            logic=self.logic,
-        )
 
 
 @dataclass

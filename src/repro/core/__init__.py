@@ -48,7 +48,6 @@ __all__ = [
     "QueuedRequest",
     "Request",
     "RequestRejected",
-    "WaitForGraph",
     "check_serializable",
 ]
 
@@ -56,7 +55,7 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.core.data_queue": ("DataQueue", "QueuedRequest"),
-        "repro.core.deadlock": ("DeadlockDetector", "WaitForGraph"),
+        "repro.core.deadlock": ("DeadlockDetector",),
         "repro.core.effects": ("BackoffIssued", "Effect", "GrantIssued", "RequestRejected"),
         "repro.core.locks": ("GrantedLock", "LockMode", "LockTable"),
         "repro.core.precedence": ("Precedence",),

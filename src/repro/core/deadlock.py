@@ -15,7 +15,7 @@ overhead per scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.common.ids import TransactionId
 from repro.common.protocol_names import Protocol
@@ -42,79 +42,15 @@ def pack_transaction(tid: TransactionId) -> int:
     return (tid.site << 48) | seq
 
 
-class WaitForGraph:
-    """Directed graph whose edge ``a -> b`` means transaction ``a`` waits for ``b``."""
-
-    def __init__(self) -> None:
-        self._successors: Dict[TransactionId, Set[TransactionId]] = {}
-
-    def add_edge(self, waiter: TransactionId, holder: TransactionId) -> None:
-        """Record that ``waiter`` waits for ``holder`` (self-edges are ignored)."""
-        if waiter == holder:
-            return
-        self._successors.setdefault(waiter, set()).add(holder)
-        self._successors.setdefault(holder, set())
-
-    def add_edges(self, edges: Iterable[Tuple[TransactionId, TransactionId]]) -> None:
-        """Record a batch of ``(waiter, holder)`` edges."""
-        for waiter, holder in edges:
-            self.add_edge(waiter, holder)
-
-    def remove_node(self, node: TransactionId) -> None:
-        """Drop ``node`` and every edge that touches it."""
-        self._successors.pop(node, None)
-        for successors in self._successors.values():
-            successors.discard(node)
-
-    def nodes(self) -> Tuple[TransactionId, ...]:
-        """All transactions present in the graph."""
-        return tuple(self._successors)
-
-    def successors(self, node: TransactionId) -> Tuple[TransactionId, ...]:
-        """The transactions ``node`` waits for, in sorted order."""
-        return tuple(sorted(self._successors.get(node, ())))
-
-    def edge_count(self) -> int:
-        """Total number of wait-for edges."""
-        return sum(len(successors) for successors in self._successors.values())
-
-    def find_cycle(self) -> Optional[Tuple[TransactionId, ...]]:
-        """One cycle as a tuple of transactions, or ``None`` when the graph is acyclic.
-
-        Iterative DFS with a three-colour marking; deterministic because
-        nodes and successors are visited in sorted order.  Delegates to the
-        same traversal the deadlock detector's fast path uses.
-        """
-        adjacency = {
-            node: sorted(successors) for node, successors in self._successors.items()
-        }
-        return _find_cycle_masked(sorted(adjacency), adjacency, set())
-
-    @staticmethod
-    def _extract_cycle(
-        node: TransactionId,
-        back_edge_target: TransactionId,
-        parent: Mapping[TransactionId, Optional[TransactionId]],
-    ) -> Tuple[TransactionId, ...]:
-        cycle = [back_edge_target]
-        current: Optional[TransactionId] = node
-        while current is not None and current != back_edge_target:
-            cycle.append(current)
-            current = parent.get(current)
-        cycle.reverse()
-        return tuple(cycle)
-
-
 def _find_cycle_masked(sorted_nodes, adjacency, removed):
     """One cycle among the non-``removed`` nodes, or ``None`` when acyclic.
 
-    The single three-colour DFS behind both :meth:`WaitForGraph.find_cycle`
-    and :meth:`DeadlockDetector.resolve_packed`: a pre-sorted adjacency with
-    removed nodes skipped at visit time, so the detector can mask victims
-    without rebuilding (or re-sorting) the graph.  Generic over the node key
-    type — transaction ids for the public graph, packed int keys (see
-    :func:`pack_transaction`, whose packing is monotone so the visit order is
-    the same) on the detector's hot path.
+    The three-colour DFS behind :meth:`DeadlockDetector.resolve_packed`:
+    nodes and successors are visited in the pre-sorted order given, and
+    removed nodes are skipped at visit time, so the detector can mask victims
+    without rebuilding (or re-sorting) the graph.  The nodes are packed int
+    keys (see :func:`pack_transaction`, whose packing is monotone, so the
+    visit order is the order of the transaction ids).
     """
     WHITE, GREY = 0, 1
     BLACK = 2
@@ -141,11 +77,22 @@ def _find_cycle_masked(sorted_nodes, adjacency, removed):
                     advanced = True
                     break
                 if state == GREY:
-                    return WaitForGraph._extract_cycle(node, successor, parent)
+                    return _extract_cycle(node, successor, parent)
             if not advanced:
                 colour[node] = BLACK
                 stack.pop()
     return None
+
+
+def _extract_cycle(node, back_edge_target, parent: Mapping) -> Tuple:
+    """The cycle a back edge ``node -> back_edge_target`` closes, walking ``parent`` links."""
+    cycle = [back_edge_target]
+    current = node
+    while current is not None and current != back_edge_target:
+        cycle.append(current)
+        current = parent.get(current)
+    cycle.reverse()
+    return tuple(cycle)
 
 
 @dataclass
@@ -185,44 +132,19 @@ class DeadlockDetector:
     ) -> None:
         self._lock_count_of = lock_count_of or (lambda _tid: 0)
 
-    def resolve(
-        self,
-        edges: Sequence[Tuple[TransactionId, TransactionId]],
-        protocol_of: Mapping[TransactionId, Protocol],
-    ) -> DeadlockResolution:
-        """Find all deadlock cycles implied by ``edges`` and choose victims.
-
-        Victims are removed from the working graph as they are chosen, so one
-        scan resolves every cycle present at scan time.
-        """
-        adjacency: Dict[int, Set[int]] = {}
-        transaction_of: Dict[int, TransactionId] = {}
-        for waiter, holder in edges:
-            if waiter == holder:
-                continue
-            waiter_key = pack_transaction(waiter)
-            holder_key = pack_transaction(holder)
-            bucket = adjacency.get(waiter_key)
-            if bucket is None:
-                bucket = adjacency[waiter_key] = set()
-                transaction_of[waiter_key] = waiter
-            bucket.add(holder_key)
-            if holder_key not in adjacency:
-                adjacency[holder_key] = set()
-                transaction_of[holder_key] = holder
-        return self.resolve_packed(adjacency, transaction_of, protocol_of)
-
     def resolve_packed(
         self,
         adjacency: Dict[int, Set[int]],
         transaction_of: Mapping[int, TransactionId],
         protocol_of: Mapping[TransactionId, Protocol],
     ) -> DeadlockResolution:
-        """:meth:`resolve` over a pre-built packed-key adjacency.
+        """Find every deadlock cycle in a packed-key wait-for adjacency and choose victims.
 
-        This is the detector actor's fast path: queue managers accumulate
-        their wait edges straight into ``adjacency`` (keys produced by
-        :func:`pack_transaction`), skipping per-edge tuple materialisation.
+        ``adjacency`` maps each waiter's :func:`pack_transaction` key to the
+        keys it waits for (queue managers accumulate their wait edges
+        straight into it, see ``QueueManager.collect_wait_edges``), and
+        ``transaction_of`` maps every key back to its transaction id.  One
+        scan resolves every cycle present at scan time.
 
         The adjacency is sorted exactly once per scan; chosen victims are
         masked with a ``removed`` set rather than rewriting every successor

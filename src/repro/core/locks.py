@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import CopyId, RequestId, TransactionId
@@ -39,20 +39,6 @@ class LockMode(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-    @property
-    def is_semi(self) -> bool:
-        """Whether this is a semi-lock mode (orders conflicting writes only)."""
-        return self in (LockMode.SEMI_READ, LockMode.SEMI_WRITE)
-
-    @property
-    def is_write_like(self) -> bool:
-        """Modes that make every other lock on the copy a conflict (WL and SWL)."""
-        return self in (LockMode.WRITE, LockMode.SEMI_WRITE)
-
-    def conflicts_with(self, other: "LockMode") -> bool:
-        """Two locks conflict iff at least one is a WL or SWL (Section 4.2, rule 2)."""
-        return self.is_write_like or other.is_write_like
 
     def downgraded(self) -> "LockMode":
         """The semi-lock this mode converts to when a T/O transaction finishes
@@ -146,14 +132,6 @@ class LockTable:
         # Downgraded locks still pre-scheduled: their finished holders wait
         # for normality (see awaiting_normal).  Almost always empty.
         self._awaiting_normal: Dict[RequestId, GrantedLock] = {}
-
-    @property
-    def copy(self) -> CopyId:
-        """The physical copy whose locks this table tracks."""
-        return self._copy
-
-    def __len__(self) -> int:
-        return len(self._locks)
 
     def __contains__(self, request_id: RequestId) -> bool:
         return request_id in self._locks
@@ -275,25 +253,6 @@ class LockTable:
                 holder = lock.transaction
                 pre_scheduled = holder is not transaction and holder != transaction
         return self.grant(request_id, transaction, protocol, mode, time, pre_scheduled)
-
-    def holders(self) -> Tuple[TransactionId, ...]:
-        """Distinct transactions currently holding locks, in grant order."""
-        seen: List[TransactionId] = []
-        for lock in self._locks.values():
-            if lock.transaction not in seen:
-                seen.append(lock.transaction)
-        return tuple(seen)
-
-    def unreleased_with_modes(
-        self, modes: Iterable[LockMode], excluding: Optional[TransactionId] = None
-    ) -> Tuple[GrantedLock, ...]:
-        """Granted locks whose mode is in ``modes``, excluding one transaction's own locks."""
-        mode_set = set(modes)
-        return tuple(
-            lock
-            for lock in self._locks.values()
-            if lock.mode in mode_set and lock.transaction != excluding
-        )
 
     def conflicting_locks(
         self,

@@ -41,11 +41,6 @@ class Precedence:
     transaction: TransactionId
     arrival_seq: int = 0
 
-    @property
-    def is_two_phase_locking(self) -> bool:
-        """Whether this precedence belongs to a 2PL request."""
-        return self.protocol.is_two_phase_locking
-
     def sort_key(self) -> Tuple:
         """Total-order key implementing the three tie-breaking rules."""
         if self.protocol is Protocol.TWO_PHASE_LOCKING:
@@ -82,6 +77,3 @@ class Precedence:
             transaction=self.transaction,
             arrival_seq=self.arrival_seq,
         )
-
-    def __str__(self) -> str:
-        return f"<ts={self.timestamp:.6g} {self.protocol} {self.transaction}>"

@@ -14,30 +14,21 @@ by implementing :class:`~repro.core.protocols.base.ProtocolPolicy` and calling
 :func:`register_policy`.
 """
 
-from repro.core.protocols.base import (
-    ArrivalDecision,
-    DecisionKind,
-    ProtocolPolicy,
-    QueueStateView,
-)
+from repro.core.protocols.base import DecisionKind, ProtocolPolicy
 from repro.core.protocols.precedence_agreement import PrecedenceAgreementPolicy
 from repro.core.protocols.registry import (
     default_policies,
-    get_policy,
     register_policy,
 )
 from repro.core.protocols.timestamp_ordering import TimestampOrderingPolicy
 from repro.core.protocols.two_phase_locking import TwoPhaseLockingPolicy
 
 __all__ = [
-    "ArrivalDecision",
     "DecisionKind",
     "PrecedenceAgreementPolicy",
     "ProtocolPolicy",
-    "QueueStateView",
     "TimestampOrderingPolicy",
     "TwoPhaseLockingPolicy",
     "default_policies",
-    "get_policy",
     "register_policy",
 ]

@@ -33,14 +33,6 @@ def register_policy(policy: ProtocolPolicy, replace: bool = False) -> None:
     _REGISTRY[policy.protocol] = policy
 
 
-def get_policy(protocol: Protocol) -> ProtocolPolicy:
-    """The registered policy for ``protocol``."""
-    try:
-        return _REGISTRY[protocol]
-    except KeyError:
-        raise UnknownProtocolError(f"no policy registered for protocol {protocol}") from None
-
-
 def default_policies() -> Dict[Protocol, ProtocolPolicy]:
     """A fresh mapping with the three policies of the paper."""
     return {

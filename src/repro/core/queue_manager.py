@@ -157,11 +157,6 @@ class QueueManager:
         return self._write_ts
 
     @property
-    def semi_locks_enabled(self) -> bool:
-        """Whether unified enforcement uses semi-locks (vs. full locks, the E6 ablation)."""
-        return self._semi_locks_enabled
-
-    @property
     def grants_issued(self) -> int:
         """Number of lock grants issued so far."""
         return self._grants_issued
@@ -479,28 +474,6 @@ class QueueManager:
     # Wait-for information for the deadlock detector
     # ------------------------------------------------------------------ #
 
-    def wait_edges(self) -> List[Tuple[TransactionId, TransactionId]]:
-        """Edges ``(waiter, holder)`` contributed by this queue to the wait-for graph.
-
-        A not-yet-granted request waits for (a) every transaction holding an
-        unreleased lock that conflicts with the mode it is asking for, and
-        (b) every transaction with a not-yet-granted entry ahead of it in the
-        queue (the ``HD(j)`` rule prevents it from being considered until
-        those are granted).  Blocked PA entries wait only for their own
-        issuer's timestamp agreement, so they contribute no outgoing edges.
-        A finished T/O transaction whose downgraded semi-lock is still
-        pre-scheduled waits, without any queue entry, for (c) every holder of
-        an earlier conflicting lock (Section 4.2 rule 4).
-        """
-        adjacency: Dict[int, set] = {}
-        transaction_of: Dict[int, TransactionId] = {}
-        self.collect_wait_edges(adjacency, transaction_of)
-        return [
-            (transaction_of[waiter_key], transaction_of[holder_key])
-            for waiter_key, holders in adjacency.items()
-            for holder_key in sorted(holders)
-        ]
-
     def collect_wait_edges(
         self,
         adjacency: Dict[int, set],
@@ -508,16 +481,23 @@ class QueueManager:
     ) -> None:
         """Accumulate this queue's wait-for edges into a packed-key adjacency.
 
-        Fast path for :class:`~repro.system.detector.DeadlockDetectorActor`
-        (and the single source of truth for the edge rules — :meth:`wait_edges`
-        unpacks this adjacency): one edge per conflicting lock holder plus one
-        per distinct earlier ungranted waiter, written straight into
-        ``adjacency`` keyed by :func:`pack_transaction` ints, using one bulk
-        ``set.update`` per waiter instead of a tuple per edge.
+        An edge ``waiter -> holder`` is stored as ``adjacency[waiter_key]``
+        containing ``holder_key`` (:func:`pack_transaction` ints), and
+        ``transaction_of`` maps each key back to its transaction.  A
+        not-yet-granted request waits for (a) every transaction holding an
+        unreleased lock that conflicts with the mode it is asking for, and
+        (b) every transaction with a not-yet-granted entry ahead of it in the
+        queue (the ``HD(j)`` rule prevents it from being considered until
+        those are granted).  A finished T/O transaction whose downgraded
+        semi-lock is still pre-scheduled waits, without any queue entry, for
+        (c) every holder of an earlier conflicting lock (Section 4.2 rule 4).
 
         Blocked (negotiation-pending) PA entries resolve on their own —
         waiting behind one is not a wait on another transaction's progress, so
-        they are neither waiters nor waited-on here.
+        they are neither waiters nor waited-on here.  The
+        :class:`~repro.system.detector.DeadlockDetectorActor` collects every
+        queue manager's edges into one adjacency per scan, one bulk
+        ``set.update`` per waiter instead of a tuple per edge.
         """
         prior_keys: set = set()
         for entry in self._queue:
@@ -554,14 +534,6 @@ class QueueManager:
                 transaction_of[holder_key] = earlier.transaction
                 adjacency.setdefault(holder_key, set())
                 bucket.add(holder_key)
-
-    def blocked_transactions(self) -> Tuple[TransactionId, ...]:
-        """Transactions with at least one ungranted, non-blocked entry here."""
-        seen: Dict[TransactionId, None] = {}  # insertion-ordered set
-        for entry in self._queue.ungranted():
-            if not entry.is_blocked:
-                seen.setdefault(entry.transaction, None)
-        return tuple(seen)
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.ids import CopyId, RequestId, TransactionId
-from repro.common.operations import OperationType, PhysicalOperation
+from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
 
 
@@ -34,16 +34,6 @@ class Request:
         """Whether the request asks for a read."""
         return self.op_type.is_read
 
-    @property
-    def is_write(self) -> bool:
-        """Whether the request asks for a write."""
-        return self.op_type.is_write
-
-    @property
-    def physical_operation(self) -> PhysicalOperation:
-        """The physical operation this request implements once granted."""
-        return PhysicalOperation(self.op_type, self.copy)
-
     def conflicts_with(self, other: "Request") -> bool:
         """Requests conflict when they access the same copy, come from different
         transactions, and at least one writes."""
@@ -52,6 +42,3 @@ class Request:
             and self.transaction != other.transaction
             and self.op_type.conflicts_with(other.op_type)
         )
-
-    def __str__(self) -> str:
-        return f"{self.op_type}({self.copy}) by {self.transaction} [{self.protocol}]"

@@ -17,7 +17,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.common.errors import SerializationViolationError
 from repro.common.ids import TransactionId
 from repro.storage.log import ExecutionLog
 
@@ -154,11 +153,6 @@ class SerializabilityReport:
     cycle: Optional[Tuple[TransactionId, ...]] = None
     transactions_checked: int = 0
     conflict_edges: int = 0
-
-    def raise_on_violation(self) -> None:
-        """Raise :class:`SerializationViolationError` when the execution is not serializable."""
-        if not self.serializable and self.cycle is not None:
-            raise SerializationViolationError(self.cycle)
 
 
 def committed_view(

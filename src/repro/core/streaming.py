@@ -340,21 +340,6 @@ class IncrementalSerializabilityChecker:
     # ---------------------------------------------------------------- #
 
     @property
-    def retired_count(self) -> int:
-        """Transactions retired (and removed from live state) so far."""
-        return self._retired_count
-
-    @property
-    def live_entry_count(self) -> int:
-        """Log entries currently held live by the checker."""
-        return self._live_entry_count
-
-    @property
-    def live_transaction_count(self) -> int:
-        """Transactions currently holding at least one live entry."""
-        return len(self._entry_total)
-
-    @property
     def order_digest(self) -> str:
         """SHA-256 over the retirement sequence (the compact witness)."""
         return self._order_digest.hexdigest()

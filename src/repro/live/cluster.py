@@ -197,10 +197,6 @@ class SubprocessCluster:
         text = log_path.read_text(errors="replace")
         return text[-limit:]
 
-    def tails(self) -> Dict[int, str]:
-        """The captured log tail of every site, for failure reports."""
-        return {site: self._tail(site) for site in self._logs}
-
     def __enter__(self) -> "SubprocessCluster":
         self.start()
         return self

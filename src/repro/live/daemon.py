@@ -252,21 +252,6 @@ class SiteDaemon:
         """The daemon's TCP transport."""
         return self._transport
 
-    @property
-    def issuer(self) -> RequestIssuerActor:
-        """The site's transaction manager."""
-        return self._issuer
-
-    @property
-    def commit_log(self) -> SiteCommitLog:
-        """The site's durable commit log."""
-        return self._commit_log
-
-    @property
-    def metrics(self) -> MetricsCollector:
-        """The site's metrics collector."""
-        return self._metrics
-
     # ---------------------------------------------------------------- #
     # Control plane
     # ---------------------------------------------------------------- #

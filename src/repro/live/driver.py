@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.commit.audit import ReplicaReport, StreamingReplicaAuditor
 from repro.common.config import SystemConfig
@@ -72,11 +72,6 @@ class LiveRunResult:
     def atomic(self) -> bool:
         """Whether every replicated item converged to one value."""
         return self.replica_report.convergent
-
-    @property
-    def committed_tids(self) -> Tuple[TransactionId, ...]:
-        """The committed transactions, sorted."""
-        return tuple(sorted(self.committed_attempts))
 
     @property
     def throughput(self) -> float:

@@ -143,11 +143,6 @@ class TcpTransport(Transport):
     # ---------------------------------------------------------------- #
 
     @property
-    def node(self) -> str:
-        """This process's name, as used in logs."""
-        return self._node
-
-    @property
     def now(self) -> float:
         """The event loop's monotonic wall clock."""
         return self._loop.time()

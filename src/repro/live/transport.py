@@ -13,16 +13,16 @@ exist:
 * :class:`~repro.live.tcp.TcpTransport` — asyncio streams between real
   processes, wall-clock time, ``loop.call_later`` timers.
 
-The seam is deliberately the *union* of what the actors used to take from
-``Network`` and ``Simulator``: message send, current time, relative timers
-and actor registration/lookup, plus the message counters the run summary
-reports.
+The seam is what the actors take from ``Network`` and ``Simulator``:
+message send, current time and relative timers.  Actor registration and
+the message counters stay with the concrete carrier (the simulated network,
+or the live daemon's and driver's own ``TcpTransport``).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.sim.actor import Actor, Message
 from repro.sim.network import Network
@@ -63,19 +63,6 @@ class Transport(abc.ABC):
         it, and implementations are free to ignore it.
         """
 
-    @abc.abstractmethod
-    def register(self, actor: Actor) -> None:
-        """Make ``actor`` addressable by its name."""
-
-    @property
-    @abc.abstractmethod
-    def messages_sent(self) -> int:
-        """Total number of messages sent through this transport."""
-
-    @abc.abstractmethod
-    def messages_by_kind(self) -> Dict[str, int]:
-        """Message counts keyed by message kind."""
-
 
 class SimTransport(Transport):
     """The simulator-backed transport: verbatim delegation to ``Network``/``Simulator``.
@@ -88,16 +75,6 @@ class SimTransport(Transport):
     def __init__(self, simulator: Simulator, network: Network) -> None:
         self._simulator = simulator
         self._network = network
-
-    @property
-    def simulator(self) -> Simulator:
-        """The simulator timers are scheduled on."""
-        return self._simulator
-
-    @property
-    def network(self) -> Network:
-        """The simulated network messages travel over."""
-        return self._network
 
     @property
     def now(self) -> float:
@@ -125,16 +102,3 @@ class SimTransport(Transport):
     ) -> Any:
         """Delegate to :meth:`repro.sim.simulator.Simulator.schedule` (``site`` is unused)."""
         return self._simulator.schedule(delay, callback, label=label)
-
-    def register(self, actor: Actor) -> None:
-        """Delegate to :meth:`repro.sim.network.Network.register`."""
-        self._network.register(actor)
-
-    @property
-    def messages_sent(self) -> int:
-        """Total messages sent on the simulated network."""
-        return self._network.messages_sent
-
-    def messages_by_kind(self) -> Dict[str, int]:
-        """Per-kind counts from the simulated network."""
-        return self._network.messages_by_kind()

@@ -20,8 +20,7 @@ round-trip is byte-identical, which the Hypothesis property tests pin.
 The bytes are those of ``json.dumps(document, separators=(",", ":"),
 sort_keys=True)`` over the tagged document, but the codec never builds that
 document.  Encoding is compiled: every registered record and id type gets
-one emitter, a closure made when this module loads (and when
-:func:`register_wire_dataclass` adds a class).  It reads the fields with
+one emitter, a closure made when this module loads.  It reads the fields with
 one ``operator.attrgetter`` (an id's with one ``itemgetter``) and writes
 JSON text directly, with the keys pre-sorted and pre-escaped.  Each field
 is dispatched on its exact class: ``None``, the booleans and every enum
@@ -56,7 +55,7 @@ from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii as _escape
 from math import isfinite
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.commit.messages import (
     AckMessage,
@@ -487,24 +486,6 @@ for _tag, _record_cls in (*_IDS.items(), *_DATACLASSES.items()):
     _install(_tag, _record_cls)
 
 
-def register_wire_dataclass(cls: Type[Any]) -> Type[Any]:
-    """Add a dataclass to the codec registry (usable as a decorator).
-
-    The live daemon/driver control payloads register themselves through
-    this instead of being hard-wired here, keeping the codec's core list
-    limited to the protocol types.  Registering compiles the class's
-    emitter and decoder entry.
-    """
-    if not dataclasses.is_dataclass(cls):
-        raise WireError(f"{cls!r} is not a dataclass")
-    existing = _DATACLASSES.get(cls.__name__, _IDS.get(cls.__name__))
-    if existing is not None and existing is not cls:
-        raise WireError(f"wire tag {cls.__name__!r} is already registered")
-    _DATACLASSES[cls.__name__] = cls
-    _install(cls.__name__, cls)
-    return cls
-
-
 def decode_frame_body(body: bytes) -> Message:
     """Decode one frame body (without its length prefix) into an envelope."""
     return _make_decoder()(body)
@@ -525,11 +506,6 @@ class FrameDecoder:
     def __init__(self) -> None:
         self._buffer = bytearray()
         self._decode = _make_decoder()
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes currently held waiting for the rest of their frame."""
-        return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Message]:
         """Absorb ``data`` and return every envelope it completed, in order."""
@@ -559,8 +535,3 @@ class FrameDecoder:
             raise WireError(
                 f"stream ended mid-frame with {len(self._buffer)} bytes buffered"
             )
-
-
-def iter_frames(payloads: Iterable[Message]) -> Tuple[bytes, ...]:
-    """Encode several envelopes into their concatenation-ready frames."""
-    return tuple(encode_message(message) for message in payloads)

@@ -249,11 +249,6 @@ class DecayingParameterEstimator(ParameterEstimator):
         self._window: Dict[str, float] = {}
         self._last_snapshot: Optional[Dict[str, float]] = None
 
-    @property
-    def decay(self) -> float:
-        """Per-epoch weight multiplier of past observations."""
-        return self._decay
-
     def refresh_observations(self) -> None:
         """Advance the window: decay the past, fold in the delta since last refresh."""
         metrics = self._metrics

@@ -70,7 +70,6 @@ class STLProtocolSelector:
         self._decisions = 0
         self._refreshes = 0
         self._frozen = False
-        self._choices: Dict[Protocol, int] = {protocol: 0 for protocol in Protocol}
         self._cache: Dict[Tuple[int, int], STLBreakdown] = {}
         self._model: Optional[ThroughputLossModel] = None
         self._costs: Dict[Protocol, object] = {}
@@ -130,10 +129,6 @@ class STLProtocolSelector:
         """How many times the estimates were re-read and the class cache dropped."""
         return self._refreshes
 
-    def choice_counts(self) -> Dict[Protocol, int]:
-        """How many transactions each protocol has been assigned so far."""
-        return dict(self._choices)
-
     # ---------------------------------------------------------------- #
     # Selection
     # ---------------------------------------------------------------- #
@@ -142,9 +137,7 @@ class STLProtocolSelector:
         """Protocol for ``spec`` (the hook installed into the request issuers)."""
         self._decisions += 1
         if self._decisions <= self._exploration_transactions:
-            protocol = _PROTOCOL_ORDER[(self._decisions - 1) % len(_PROTOCOL_ORDER)]
-            self._choices[protocol] += 1
-            return protocol
+            return _PROTOCOL_ORDER[(self._decisions - 1) % len(_PROTOCOL_ORDER)]
         since_exploration = self._decisions - self._exploration_transactions
         on_tick = (since_exploration - 1) % self._refresh_interval == 0
         if self._mode == "frozen":
@@ -160,10 +153,7 @@ class STLProtocolSelector:
                     self._frozen = True
         elif on_tick:
             self._refresh()
-        breakdown = self.breakdown(spec)
-        protocol = Protocol.from_name(breakdown.best())
-        self._choices[protocol] += 1
-        return protocol
+        return Protocol.from_name(self.breakdown(spec).best())
 
     def breakdown(self, spec: TransactionSpec) -> STLBreakdown:
         """The three STL values for ``spec`` under the current estimates."""

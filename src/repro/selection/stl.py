@@ -43,14 +43,6 @@ class STLBreakdown:
     timestamp_ordering: float
     precedence_agreement: float
 
-    def as_dict(self) -> Dict[str, float]:
-        """The three losses keyed by protocol name."""
-        return {
-            "2PL": self.two_phase_locking,
-            "T/O": self.timestamp_ordering,
-            "PA": self.precedence_agreement,
-        }
-
     def best(self) -> str:
         """Name of the protocol with the smallest loss (ties go to PA, then T/O)."""
         ordering = [

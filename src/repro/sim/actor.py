@@ -95,6 +95,3 @@ class Actor:
     def handle(self, message: Message) -> None:
         """Process one delivered message.  Subclasses must override."""
         raise NotImplementedError(f"{type(self).__name__} does not handle messages")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name}@site{self.site}>"

@@ -168,10 +168,6 @@ class FaultInjector:
         """The merged ``(start, end)`` downtime windows of ``site``."""
         return tuple(self._downtime.get(site, ()))
 
-    def coordinator_downtime_of(self, site: int) -> Tuple[Tuple[float, float], ...]:
-        """The merged ``(start, end)`` coordinator downtime windows of ``site``."""
-        return tuple(self._coordinator_downtime.get(site, ()))
-
     def site_up(self, site: int, time: float) -> bool:
         """Whether ``site`` is up at ``time`` (sites outside the model are always up)."""
         starts = self._down_starts.get(site)

@@ -74,11 +74,6 @@ class Network:
         self._dropped_by_kind: Dict[str, int] = {}
 
     @property
-    def simulator(self) -> Simulator:
-        """The simulator messages are scheduled on."""
-        return self._simulator
-
-    @property
     def messages_sent(self) -> int:
         """Total number of messages delivered or in flight."""
         return self._messages_sent
@@ -195,17 +190,6 @@ class Network:
             label=f"{kind}:{sender_name}->{receiver_name}",
         )
         return message
-
-    def broadcast(
-        self,
-        sender: Actor,
-        receiver_names: list,
-        kind: str,
-        payload: object = None,
-    ) -> None:
-        """Send the same payload to every receiver in ``receiver_names``."""
-        for receiver_name in receiver_names:
-            self.send(sender, receiver_name, kind, payload)
 
     def charge_overhead_messages(self, kind: str, count: int) -> None:
         """Account for bookkeeping messages that are not modelled individually.

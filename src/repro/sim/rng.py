@@ -21,11 +21,6 @@ class RandomStreams:
         self._master_seed = int(master_seed)
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def master_seed(self) -> int:
-        """The master seed every named substream derives from."""
-        return self._master_seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it deterministically on first use."""
         if name not in self._streams:
@@ -42,15 +37,3 @@ class RandomStreams:
         if mean <= 0:
             return 0.0
         return self.stream(name).expovariate(1.0 / mean)
-
-    def uniform_int(self, name: str, low: int, high: int) -> int:
-        """Draw an integer uniformly from the inclusive range [low, high]."""
-        return self.stream(name).randint(low, high)
-
-    def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
-        """Draw a float uniformly from [low, high)."""
-        return self.stream(name).uniform(low, high)
-
-    def sample_without_replacement(self, name: str, population: range, count: int) -> list:
-        """Sample ``count`` distinct values from ``population``."""
-        return self.stream(name).sample(population, count)

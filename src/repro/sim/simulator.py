@@ -85,13 +85,6 @@ class Simulator:
         """Request the run loop to stop after the current event."""
         self._stopped = True
 
-    def step(self) -> bool:
-        """Fire the single next event.  Returns ``False`` when no events remain."""
-        if not self._queue:
-            return False
-        self.run(max_events=1)
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached or ``stop()`` is called.
 

@@ -1,21 +1,17 @@
-"""Statistics collectors used by the metrics subsystem and the experiment harness."""
+"""Streaming mean / variance for the metrics collector and replicated results."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
 
 
 class WelfordAccumulator:
-    """Streaming mean / variance / min / max accumulator (Welford's algorithm)."""
+    """Streaming mean / variance accumulator (Welford's algorithm)."""
 
     def __init__(self) -> None:
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0
-        self._minimum = math.inf
-        self._maximum = -math.inf
 
     def add(self, value: float) -> None:
         """Fold one observation into the running statistics."""
@@ -23,13 +19,6 @@ class WelfordAccumulator:
         delta = value - self._mean
         self._mean += delta / self._count
         self._m2 += delta * (value - self._mean)
-        self._minimum = min(self._minimum, value)
-        self._maximum = max(self._maximum, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold every value of an iterable into the statistics."""
-        for value in values:
-            self.add(value)
 
     @property
     def count(self) -> int:
@@ -53,115 +42,8 @@ class WelfordAccumulator:
         """Sample standard deviation."""
         return math.sqrt(self.variance)
 
-    @property
-    def minimum(self) -> float:
-        """Smallest observation (``inf`` before any)."""
-        return self._minimum if self._count else 0.0
-
-    @property
-    def maximum(self) -> float:
-        """Largest observation (``-inf`` before any)."""
-        return self._maximum if self._count else 0.0
-
     def confidence_halfwidth(self, z: float = 1.96) -> float:
         """Half-width of the normal-approximation confidence interval for the mean."""
         if self._count < 2:
             return 0.0
         return z * self.stdev / math.sqrt(self._count)
-
-
-class Counter:
-    """Named integer counters with dictionary export."""
-
-    def __init__(self) -> None:
-        self._values: Dict[str, int] = {}
-
-    def increment(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to ``key``'s count."""
-        self._values[name] = self._values.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        """The count recorded for ``key`` (0 when never incremented)."""
-        return self._values.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        """All counts as a plain dictionary."""
-        return dict(self._values)
-
-
-class TimeWeightedValue:
-    """Time-weighted average of a piecewise-constant quantity (e.g. queue length)."""
-
-    def __init__(self, initial_value: float = 0.0, initial_time: float = 0.0) -> None:
-        self._value = initial_value
-        self._last_time = initial_time
-        self._weighted_sum = 0.0
-        self._start_time = initial_time
-
-    def update(self, value: float, now: float) -> None:
-        """Record that the quantity changed to ``value`` at time ``now``."""
-        if now < self._last_time:
-            raise ValueError("time must be non-decreasing")
-        self._weighted_sum += self._value * (now - self._last_time)
-        self._value = value
-        self._last_time = now
-
-    def average(self, now: Optional[float] = None) -> float:
-        """Time-weighted average from the start up to ``now`` (default: last update)."""
-        end = self._last_time if now is None else now
-        elapsed = end - self._start_time
-        if elapsed <= 0:
-            return self._value
-        total = self._weighted_sum + self._value * (end - self._last_time)
-        return total / elapsed
-
-    @property
-    def current(self) -> float:
-        """The value as of the last update."""
-        return self._value
-
-
-@dataclass
-class SummaryStatistics:
-    """Immutable summary of a sample, as reported in result tables."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    maximum: float
-    p50: float = 0.0
-    p95: float = 0.0
-
-    @classmethod
-    def from_values(cls, values: Iterable[float]) -> "SummaryStatistics":
-        """Summary statistics of a value sequence (all zeros when empty)."""
-        data: List[float] = sorted(values)
-        if not data:
-            return cls(count=0, mean=0.0, stdev=0.0, minimum=0.0, maximum=0.0)
-        accumulator = WelfordAccumulator()
-        accumulator.extend(data)
-        return cls(
-            count=accumulator.count,
-            mean=accumulator.mean,
-            stdev=accumulator.stdev,
-            minimum=accumulator.minimum,
-            maximum=accumulator.maximum,
-            p50=_percentile(data, 0.50),
-            p95=_percentile(data, 0.95),
-        )
-
-
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    """Linear-interpolation percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    position = fraction * (len(sorted_values) - 1)
-    lower = int(math.floor(position))
-    upper = int(math.ceil(position))
-    if lower == upper:
-        return sorted_values[lower]
-    weight = position - lower
-    return sorted_values[lower] * (1.0 - weight) + sorted_values[upper] * weight

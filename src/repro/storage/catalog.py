@@ -59,11 +59,6 @@ class ReplicaCatalog:
         """Number of logical data items."""
         return self._num_items
 
-    @property
-    def replication_factor(self) -> int:
-        """Number of physical copies per logical item."""
-        return self._replication_factor
-
     def sites_holding(self, item: ItemId) -> Tuple[SiteId, ...]:
         """All sites that store a copy of ``item``."""
         self._check_item(item)

@@ -61,11 +61,6 @@ class CopyLog:
         # recorded anything here (the common case for aborts) stay O(1).
         self._entry_counts: Dict[TransactionId, int] = {}
 
-    @property
-    def copy(self) -> CopyId:
-        """The physical copy this log records."""
-        return self._copy
-
     def append(
         self,
         transaction: TransactionId,
@@ -173,30 +168,18 @@ class ExecutionLog:
     with :meth:`attach_observer` see every recorded entry, every withdrawal,
     and every per-copy quiesce notification (the queue managers report the
     processing of a transaction's final release through
-    :meth:`note_quiesced`).  In ``bounded`` mode the incremental
+    :meth:`note_quiesced`).  In a streaming-audit run the incremental
     serializability checker calls :meth:`retire_transaction` as transactions
     retire, so the durable log only ever holds the live window of the
     execution instead of its full history.
     """
 
-    def __init__(self, *, bounded: bool = False) -> None:
+    def __init__(self) -> None:
         self._logs: Dict[CopyId, CopyLog] = {}
-        self._bounded = bounded
         self._observers: List[Any] = []
         # Copies each transaction has live entries at, so retirement drops a
         # transaction in O(its own entries) instead of a full-log sweep.
         self._copies_of: Dict[TransactionId, Set[CopyId]] = {}
-        self._entries_retired = 0
-
-    @property
-    def bounded(self) -> bool:
-        """Whether retired transactions' entries are dropped from the log."""
-        return self._bounded
-
-    @property
-    def entries_retired(self) -> int:
-        """Entries dropped by :meth:`retire_transaction` so far."""
-        return self._entries_retired
 
     def attach_observer(self, observer: Any) -> None:
         """Attach an audit observer.
@@ -266,7 +249,7 @@ class ExecutionLog:
             observer.transaction_quiesced(copy, transaction, attempt)
 
     def retire_transaction(self, transaction: TransactionId) -> int:
-        """Drop every entry of a retired transaction (bounded mode).
+        """Drop every entry of a retired transaction (streaming audit).
 
         Called by the incremental checker once ``transaction`` can never
         again participate in a conflict; unlike :meth:`remove_transaction`
@@ -279,30 +262,20 @@ class ExecutionLog:
             log = self._logs.get(copy)
             if log is not None:
                 dropped += log.remove_transaction(transaction)
-        self._entries_retired += dropped
         return dropped
-
-    def copies(self) -> Tuple[CopyId, ...]:
-        """Every copy that has at least one implemented operation."""
-        return tuple(self._logs)
 
     def logs(self) -> Iterable[CopyLog]:
         """The per-copy logs, keyed by copy id."""
         return self._logs.values()
 
-    def iter_entries(self) -> Iterator[LogEntry]:
-        """Stream every log entry across all copies without materialising a list."""
-        for log in self._logs.values():
-            yield from log
-
     def all_entries(self) -> List[LogEntry]:
         """Every log entry across all copies, in no particular global order.
 
-        Materialises the full list — callers that only need iteration or
-        counts should use :meth:`iter_entries` / :meth:`total_operations`,
-        which stay lazy (and therefore bounded in streaming-audit runs).
+        Materialises the full list, so no run path calls it (a streaming
+        audit would then hold the whole log); :meth:`total_operations` counts
+        without it.
         """
-        return list(self.iter_entries())
+        return [entry for log in self._logs.values() for entry in log]
 
     def transactions(self) -> Tuple[TransactionId, ...]:
         """Every transaction that implemented at least one operation."""
@@ -423,11 +396,6 @@ class SiteCommitLog:
         self._lazy_writes = 0
         self._records_truncated = 0
         self._peak_records = 0
-
-    @property
-    def site(self) -> SiteId:
-        """The site this log belongs to."""
-        return self._site
 
     @property
     def forced_writes(self) -> int:
@@ -551,12 +519,6 @@ class SiteCommitLog:
         self._begins[(transaction, attempt)] = record
         self._count_write(forced)
         return record
-
-    def begin_record(
-        self, transaction: TransactionId, attempt: int
-    ) -> Optional[BeginRecord]:
-        """The begin record of one attempt, or ``None``."""
-        return self._begins.get((transaction, attempt))
 
     def undecided_begin_records(self) -> Tuple[BeginRecord, ...]:
         """Begin records whose round has no logged decision yet."""

@@ -1,41 +1,30 @@
-"""A small versioned value store for the physical copies.
+"""A small value store for the physical copies.
 
 The concurrency-control layer only needs the *order* of operations, but the
 examples (bank transfers, inventory reservations) and several integration
 tests want to observe actual values so that anomalies such as lost updates
 would be visible if the protocols were wrong.  ``ValueStore`` keeps the
-current value and a bounded version history per physical copy.
+current value and the committed-write count of each physical copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.common.ids import CopyId, TransactionId
 
 
-@dataclass(frozen=True)
-class Version:
-    """One committed version of a physical copy."""
-
-    value: Any
-    writer: Optional[TransactionId]
-    write_time: float
-
-
 class ValueStore:
-    """Current values plus bounded version history for physical copies."""
+    """Current values and committed-write counts of physical copies."""
 
-    def __init__(self, default_value: Any = 0, history_limit: int = 16) -> None:
+    def __init__(self, default_value: Any = 0) -> None:
         self._default_value = default_value
-        self._history_limit = max(1, history_limit)
         self._write_observers: List[Any] = []
-        self._versions: Dict[CopyId, List[Version]] = {}
-        # Committed writes per copy, unbounded (the history is trimmed).
-        # Under write-all every copy of an item must see the same count; a
-        # mismatch is durable evidence of a half-applied write-all even when
-        # a later full write-all made the final values agree again.
+        self._values: Dict[CopyId, Any] = {}
+        # Committed writes per copy.  Under write-all every copy of an item
+        # must see the same count; a mismatch is durable evidence of a
+        # half-applied write-all even when a later full write-all made the
+        # final values agree again.
         self._write_counts: Dict[CopyId, int] = {}
 
     @property
@@ -55,22 +44,14 @@ class ValueStore:
 
     def read(self, copy: CopyId) -> Any:
         """Current value of ``copy`` (the default when never written)."""
-        versions = self._versions.get(copy)
-        if not versions:
-            return self._default_value
-        return versions[-1].value
+        return self._values.get(copy, self._default_value)
 
-    def write(self, copy: CopyId, value: Any, writer: TransactionId, time: float) -> Version:
-        """Install a new current value for ``copy``."""
-        version = Version(value=value, writer=writer, write_time=time)
-        history = self._versions.setdefault(copy, [])
-        history.append(version)
-        if len(history) > self._history_limit:
-            del history[: len(history) - self._history_limit]
+    def write(self, copy: CopyId, value: Any, writer: TransactionId, time: float) -> None:
+        """Install ``writer``'s value as the current value of ``copy`` at ``time``."""
+        self._values[copy] = value
         self._write_counts[copy] = self._write_counts.get(copy, 0) + 1
         for observer in self._write_observers:
             observer.value_written(copy, value)
-        return version
 
     def write_count(self, copy: CopyId) -> int:
         """Number of committed writes ``copy`` has received (initialisation excluded)."""
@@ -78,21 +59,10 @@ class ValueStore:
 
     def initialize(self, copy: CopyId, value: Any) -> None:
         """Set an initial value outside of any transaction (load phase)."""
-        self._versions[copy] = [Version(value=value, writer=None, write_time=0.0)]
+        self._values[copy] = value
         for observer in self._write_observers:
             observer.value_initialized(copy, value)
 
-    def history(self, copy: CopyId) -> Tuple[Version, ...]:
-        """Committed versions of ``copy``, oldest first (bounded by the history limit)."""
-        return tuple(self._versions.get(copy, ()))
-
-    def last_writer(self, copy: CopyId) -> Optional[TransactionId]:
-        """Transaction that wrote the current value, or ``None``."""
-        versions = self._versions.get(copy)
-        if not versions:
-            return None
-        return versions[-1].writer
-
     def snapshot(self) -> Dict[CopyId, Any]:
         """Current value of every copy ever touched."""
-        return {copy: versions[-1].value for copy, versions in self._versions.items() if versions}
+        return dict(self._values)

@@ -281,11 +281,6 @@ class RequestIssuerActor(Actor):
         """This site's durable commit log (coordinator-side records)."""
         return self._commit_log
 
-    @property
-    def commit_protocol(self) -> CommitProtocol:
-        """The commit layer driving this coordinator's commit points."""
-        return self._commit
-
     def _up(self) -> bool:
         """Whether this coordinator process is alive right now.
 

@@ -235,7 +235,7 @@ class DistributedDatabase:
         self._transport = SimTransport(self._simulator, self._network)
         self._catalog = ReplicaCatalog.from_config(system)
         streaming = system.audit == "streaming"
-        self._execution_log = ExecutionLog(bounded=streaming)
+        self._execution_log = ExecutionLog()
         self._audit_checker: Optional[IncrementalSerializabilityChecker] = None
         if streaming:
             from repro.core.streaming import IncrementalSerializabilityChecker
@@ -362,11 +362,6 @@ class DistributedDatabase:
         return self._network
 
     @property
-    def transport(self) -> SimTransport:
-        """The transport seam the actors send and schedule through."""
-        return self._transport
-
-    @property
     def catalog(self) -> ReplicaCatalog:
         """The replica catalog mapping items to physical copies."""
         return self._catalog
@@ -377,33 +372,9 @@ class DistributedDatabase:
         return self._metrics
 
     @property
-    def execution_log(self) -> ExecutionLog:
-        """The per-copy log of implemented operations (the oracle's input)."""
-        return self._execution_log
-
-    @property
-    def audit_checker(self) -> Optional[IncrementalSerializabilityChecker]:
-        """The incremental oracle, or ``None`` when the run audits in batch."""
-        return self._audit_checker
-
-    @property
     def value_store(self) -> ValueStore:
         """The store holding every copy's current value."""
         return self._value_store
-
-    @property
-    def detector(self) -> DeadlockDetectorActor:
-        """The periodic deadlock detector actor."""
-        return self._detector
-
-    @property
-    def faults(self) -> Optional[FaultInjector]:
-        """The fault injector, or ``None`` when the run is fault-free."""
-        return self._faults
-
-    def queue_manager(self, copy: CopyId) -> QueueManager:
-        """The queue manager serving ``copy``."""
-        return self._queue_managers[copy]
 
     def issuer(self, site: SiteId) -> RequestIssuerActor:
         """The request issuer actor of ``site``."""

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
 from repro.common.transactions import TransactionOutcome
-from repro.sim.stats import SummaryStatistics, WelfordAccumulator
+from repro.sim.stats import WelfordAccumulator
 
 
 @dataclass
@@ -44,13 +44,6 @@ class ProtocolStatistics:
     def mean_system_time(self) -> float:
         """Mean system time of this protocol's committed transactions."""
         return self.system_time.mean
-
-    @property
-    def restart_probability(self) -> float:
-        """Fraction of attempts that ended in an abort (restart or deadlock victim)."""
-        if self.attempts == 0:
-            return 0.0
-        return (self.restarts + self.deadlock_aborts) / self.attempts
 
     @property
     def read_rejection_probability(self) -> float:
@@ -147,14 +140,6 @@ class MetricsCollector:
         stats.attempts += 1
         stats.read_requests += reads
         stats.write_requests += writes
-
-    def record_request_issued(self, protocol: Protocol, op_type: OperationType) -> None:
-        """Count one issued read/write request for ``protocol``."""
-        stats = self._by_protocol[protocol]
-        if op_type.is_read:
-            stats.read_requests += 1
-        else:
-            stats.write_requests += 1
 
     def record_rejection(self, protocol: Protocol, op_type: OperationType) -> None:
         """Count one T/O rejection of a read/write request."""
@@ -296,11 +281,6 @@ class MetricsCollector:
     # ---------------------------------------------------------------- #
 
     @property
-    def streaming(self) -> bool:
-        """Whether outcomes are folded into accumulators instead of retained."""
-        return self._streaming
-
-    @property
     def outcomes(self) -> Tuple[TransactionOutcome, ...]:
         """Every committed transaction's outcome, in commit order.
 
@@ -338,21 +318,6 @@ class MetricsCollector:
         if self._streaming:
             return self._system_time_sum / self._committed_count
         return sum(outcome.system_time for outcome in self._outcomes) / len(self._outcomes)
-
-    def system_time_summary(self, protocol: Optional[Protocol] = None) -> SummaryStatistics:
-        """Summary statistics of system times, optionally per protocol.
-
-        Unavailable in streaming mode (order statistics need the retained
-        sample).
-        """
-        if self._streaming:
-            raise RuntimeError("system_time_summary requires batch mode (retained outcomes)")
-        values = [
-            outcome.system_time
-            for outcome in self._outcomes
-            if protocol is None or outcome.protocol == protocol
-        ]
-        return SummaryStatistics.from_values(values)
 
     def total_restarts(self) -> int:
         """Total T/O-rejection restarts across protocols."""
@@ -427,20 +392,6 @@ class MetricsCollector:
         if elapsed <= 0:
             return 0.0
         return self.committed_count / elapsed
-
-    def read_throughput(self, copy: object) -> float:
-        """Granted read locks per unit time at ``copy`` (the paper's ``lambda_r(j)``)."""
-        elapsed = self.elapsed_time
-        if elapsed <= 0:
-            return 0.0
-        return self._grants_by_copy_read.get(copy, 0) / elapsed
-
-    def write_throughput(self, copy: object) -> float:
-        """Granted write locks per unit time at ``copy`` (the paper's ``lambda_w(j)``)."""
-        elapsed = self.elapsed_time
-        if elapsed <= 0:
-            return 0.0
-        return self._grants_by_copy_write.get(copy, 0) / elapsed
 
     def average_read_throughput(self) -> float:
         """``lambda_r`` averaged over every copy that saw at least one grant."""

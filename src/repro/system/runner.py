@@ -7,15 +7,12 @@ examples, tests and benchmarks all share the same entry point.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
 from repro.common.config import ProtocolMix, SystemConfig, WorkloadConfig
 from repro.common.protocol_names import Protocol
 from repro.system.database import DistributedDatabase, RunResult
 from repro.workload.generator import TransactionGenerator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store import ResultStore
 
 
 def run_simulation(
@@ -88,38 +85,3 @@ def run_simulation(
     result = database.run(max_time=max_time, max_events=max_events)
     result.drift_boundaries = boundaries
     return result
-
-
-def run_many(
-    configurations: Sequence[Tuple[SystemConfig, WorkloadConfig]],
-    *,
-    protocol: Optional[Union[str, Protocol]] = None,
-    dynamic_selection: bool = False,
-    selection_mode: Optional[str] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-) -> List[Dict[str, object]]:
-    """Run several configurations, optionally across worker processes.
-
-    Returns one summary dictionary per configuration, in input order
-    (``summarize_run`` of :mod:`repro.analysis.replications`); results are
-    bit-identical regardless of ``jobs``.  ``store`` attaches a
-    :class:`~repro.store.ResultStore` so cached configurations are served
-    without running and fresh ones are persisted as they finish; ``force``
-    re-executes even cached ones.
-    """
-    # Imported lazily: repro.analysis imports this module at load time.
-    from repro.analysis.replications import SimulationTask, run_tasks
-
-    tasks = [
-        SimulationTask(
-            system=system,
-            workload=workload,
-            protocol=protocol,
-            dynamic_selection=dynamic_selection,
-            selection_mode=selection_mode,
-        )
-        for system, workload in configurations
-    ]
-    return run_tasks(tasks, jobs=jobs, store=store, force=force)

@@ -35,7 +35,6 @@ __all__ = [
     "get_scenario",
     "register_scenario",
     "run_scenario",
-    "scenario_names",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -64,7 +63,6 @@ __getattr__, __dir__ = lazy_exports(
             "get_scenario",
             "register_scenario",
             "run_scenario",
-            "scenario_names",
-        ),
+                ),
     },
 )

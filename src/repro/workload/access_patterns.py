@@ -33,11 +33,6 @@ class AccessPattern(abc.ABC):
             raise ConfigurationError("an access pattern needs at least one item")
         self._num_items = num_items
 
-    @property
-    def num_items(self) -> int:
-        """Size of the item space draws come from."""
-        return self._num_items
-
     @abc.abstractmethod
     def draw(self, rng: random.Random, count: int, site: Optional[int] = None) -> List[ItemId]:
         """Draw ``count`` distinct item ids.
@@ -134,11 +129,6 @@ class ZipfianAccessPattern(AccessPattern):
         self._cumulative = cumulative
         self._total_weight = total
 
-    @property
-    def theta(self) -> float:
-        """The Zipf skew exponent."""
-        return self._theta
-
     def probability(self, item: int) -> float:
         """The marginal probability of drawing ``item`` in one access."""
         if not 0 <= item < self._num_items:
@@ -186,11 +176,6 @@ class SiteSkewedAccessPattern(AccessPattern):
             raise ConfigurationError("site locality must be within [0, 1]")
         self._num_sites = num_sites
         self._locality = locality
-
-    @property
-    def num_sites(self) -> int:
-        """Number of site partitions the item space is split into."""
-        return self._num_sites
 
     def partition(self, site: int) -> "tuple[int, int]":
         """Half-open ``[start, end)`` item range owned by ``site``."""

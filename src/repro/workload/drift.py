@@ -73,16 +73,6 @@ class DriftResolver:
             name: self._track(name) for name in DriftSegment.FIELDS
         }
 
-    @property
-    def drift(self) -> DriftConfig:
-        """The schedule this resolver realises."""
-        return self._drift
-
-    @property
-    def base(self) -> RegimeShape:
-        """The pre-drift regime (the plain workload knobs)."""
-        return self._base
-
     def _track(self, name: str) -> List["tuple[float, float]"]:
         """Control points ``(at, value)`` for one knob, anchored at the base value."""
         points: List[tuple[float, float]] = [(0.0, getattr(self._base, name))]
@@ -158,11 +148,6 @@ class MigratingHotspotOverlay(AccessPattern):
         self._probability = 0.0
         self._window_start = 0
         self._window_size = 1
-
-    @property
-    def base(self) -> AccessPattern:
-        """The pattern cold draws delegate to."""
-        return self._base
 
     def set_regime(self, shape: RegimeShape) -> None:
         """Adopt the hot-spot knobs of ``shape`` for subsequent draws."""

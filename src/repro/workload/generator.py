@@ -82,11 +82,6 @@ class BurstyArrivalProcess(ArrivalProcess):
         self._state = "calm"
         self._remaining: Optional[float] = None
 
-    @property
-    def state(self) -> str:
-        """The current phase: ``"calm"`` or ``"burst"``."""
-        return self._state
-
     def next_interarrival(self, rng: random.Random) -> float:
         """The gap to the next arrival, advancing burst phases as needed."""
         if self._remaining is None:
@@ -149,11 +144,6 @@ class TransactionGenerator:
         self._sequence_by_site = {site: 0 for site in range(system.num_sites)}
         self._drift_boundaries: List[float] = []
         self._sample_protocol = workload.protocol_mix.sampler()
-
-    @property
-    def access_pattern(self) -> AccessPattern:
-        """The item-selection strategy draws flow through."""
-        return self._access_pattern
 
     def drift_boundaries(self) -> "tuple[float, ...]":
         """Arrival times at which drift segments took effect, in schedule order.

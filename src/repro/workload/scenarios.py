@@ -129,11 +129,6 @@ def register_scenario(scenario: Scenario) -> Scenario:
     return scenario
 
 
-def scenario_names() -> Tuple[str, ...]:
-    """All registered scenario names, in registration order."""
-    return tuple(_REGISTRY)
-
-
 def all_scenarios() -> Tuple[Scenario, ...]:
     """Every registered scenario, in registration order."""
     return tuple(_REGISTRY.values())

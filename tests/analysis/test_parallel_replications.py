@@ -9,13 +9,11 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.replications import (
     SimulationTask,
-    compare_protocols_replicated,
     run_replicated,
     run_tasks,
 )
 from repro.analysis.tables import rows_to_table
 from repro.common.config import SystemConfig, WorkloadConfig
-from repro.system.runner import run_many
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +72,15 @@ class TestReplicatedParity:
 
     def test_rendered_tables_byte_identical(self, tiny_system, tiny_workload):
         """The acceptance criterion: --jobs N tables match --jobs 1 byte for byte."""
-        serial = compare_protocols_replicated(
-            tiny_system, tiny_workload, seeds=(0, 1), jobs=1
-        )
-        parallel = compare_protocols_replicated(
-            tiny_system, tiny_workload, seeds=(0, 1), jobs=4
-        )
-        assert rows_to_table(serial).encode() == rows_to_table(parallel).encode()
+        def rows(jobs):
+            return [
+                run_replicated(
+                    tiny_system, tiny_workload, protocol=protocol, seeds=(0, 1), jobs=jobs
+                ).as_row()
+                for protocol in ("2PL", "T/O", "PA")
+            ]
 
-    def test_compare_requires_at_least_one_seed(self, tiny_system, tiny_workload):
-        with pytest.raises(ValueError):
-            compare_protocols_replicated(tiny_system, tiny_workload, seeds=())
+        assert rows_to_table(rows(1)).encode() == rows_to_table(rows(4)).encode()
 
     def test_dynamic_selection_parity(self, tiny_system, tiny_workload):
         serial = run_replicated(tiny_system, tiny_workload, dynamic_selection=True,
@@ -116,15 +112,3 @@ class TestExperimentParity:
         parallel = semilock_ablation(arrival_rate=20.0, system=tiny_system,
                                      workload=tiny_workload, jobs=2)
         assert serial == parallel
-
-
-class TestRunMany:
-    def test_run_many_orders_and_parallelises(self, tiny_system, tiny_workload):
-        configurations = [
-            (tiny_system, tiny_workload.with_overrides(num_transactions=count))
-            for count in (5, 10)
-        ]
-        serial = run_many(configurations, protocol="PA", jobs=1)
-        parallel = run_many(configurations, protocol="PA", jobs=2)
-        assert serial == parallel
-        assert [summary["committed"] for summary in serial] == [5, 10]

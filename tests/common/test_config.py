@@ -20,18 +20,18 @@ class TestNetworkConfig:
 class TestProtocolMix:
     def test_pure_mix_always_samples_that_protocol(self):
         mix = ProtocolMix.pure(Protocol.PRECEDENCE_AGREEMENT)
-        assert mix.sample(0.01) is Protocol.PRECEDENCE_AGREEMENT
-        assert mix.sample(0.99) is Protocol.PRECEDENCE_AGREEMENT
+        assert mix.sampler()(0.01) is Protocol.PRECEDENCE_AGREEMENT
+        assert mix.sampler()(0.99) is Protocol.PRECEDENCE_AGREEMENT
 
     def test_uniform_mix_normalises_to_thirds(self):
         normalized = ProtocolMix.uniform().normalized()
         for weight in normalized.values():
             assert weight == pytest.approx(1.0 / 3.0)
 
-    def test_sample_respects_weights(self):
+    def test_sampler_respects_weights(self):
         mix = ProtocolMix({Protocol.TWO_PHASE_LOCKING: 3.0, Protocol.TIMESTAMP_ORDERING: 1.0})
-        assert mix.sample(0.5) is Protocol.TWO_PHASE_LOCKING
-        assert mix.sample(0.9) is Protocol.TIMESTAMP_ORDERING
+        assert mix.sampler()(0.5) is Protocol.TWO_PHASE_LOCKING
+        assert mix.sampler()(0.9) is Protocol.TIMESTAMP_ORDERING
 
     def test_rejects_non_positive_total(self):
         with pytest.raises(ConfigurationError):
@@ -42,7 +42,7 @@ class TestProtocolMix:
             ProtocolMix({Protocol.TWO_PHASE_LOCKING: -1.0, Protocol.TIMESTAMP_ORDERING: 2.0})
 
     def test_pure_accepts_string_names(self):
-        assert ProtocolMix.pure("t/o").sample(0.5) is Protocol.TIMESTAMP_ORDERING
+        assert ProtocolMix.pure("t/o").sampler()(0.5) is Protocol.TIMESTAMP_ORDERING
 
     def test_sampler_maps_draws_at_the_running_sums(self):
         mix = ProtocolMix(

@@ -4,15 +4,11 @@ import pytest
 
 from repro.common.errors import (
     ConfigurationError,
-    DeadlockError,
     ProtocolError,
     ReproError,
-    SerializationViolationError,
     SimulationError,
-    TransactionAbortedError,
     UnknownProtocolError,
 )
-from repro.common.ids import TransactionId
 
 
 class TestHierarchy:
@@ -23,9 +19,6 @@ class TestHierarchy:
             SimulationError,
             ProtocolError,
             UnknownProtocolError,
-            TransactionAbortedError,
-            DeadlockError,
-            SerializationViolationError,
         ],
     )
     def test_all_derive_from_repro_error(self, exception_type):
@@ -33,24 +26,3 @@ class TestHierarchy:
 
     def test_unknown_protocol_is_a_protocol_error(self):
         assert issubclass(UnknownProtocolError, ProtocolError)
-
-    def test_deadlock_is_a_transaction_abort(self):
-        assert issubclass(DeadlockError, TransactionAbortedError)
-
-
-class TestMessages:
-    def test_transaction_aborted_carries_reason(self):
-        error = TransactionAbortedError(TransactionId(0, 1), "rejected")
-        assert error.transaction_id == TransactionId(0, 1)
-        assert "rejected" in str(error)
-
-    def test_deadlock_error_carries_cycle(self):
-        cycle = (TransactionId(0, 1), TransactionId(1, 2))
-        error = DeadlockError(TransactionId(0, 1), cycle)
-        assert error.cycle == cycle
-
-    def test_serialization_violation_lists_cycle_members(self):
-        cycle = (TransactionId(0, 1), TransactionId(1, 2))
-        error = SerializationViolationError(cycle)
-        assert "T0.1" in str(error)
-        assert "T1.2" in str(error)

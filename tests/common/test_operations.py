@@ -5,9 +5,9 @@ from repro.common.operations import (
     LogicalOperation,
     OperationType,
     PhysicalOperation,
-    read,
-    write,
 )
+
+READ, WRITE = OperationType.READ, OperationType.WRITE
 
 
 class TestOperationType:
@@ -27,17 +27,13 @@ class TestOperationType:
 
 
 class TestLogicalOperation:
-    def test_helpers_build_expected_operations(self):
-        assert read(3) == LogicalOperation(OperationType.READ, 3)
-        assert write(4) == LogicalOperation(OperationType.WRITE, 4)
-
     def test_conflict_requires_same_item(self):
-        assert not read(1).conflicts_with(write(2))
-        assert read(1).conflicts_with(write(1))
-        assert not read(1).conflicts_with(read(1))
+        assert not LogicalOperation(READ, 1).conflicts_with(LogicalOperation(WRITE, 2))
+        assert LogicalOperation(READ, 1).conflicts_with(LogicalOperation(WRITE, 1))
+        assert not LogicalOperation(READ, 1).conflicts_with(LogicalOperation(READ, 1))
 
     def test_str(self):
-        assert str(write(9)) == "w(D9)"
+        assert str(LogicalOperation(WRITE, 9)) == "w(D9)"
 
 
 class TestPhysicalOperation:

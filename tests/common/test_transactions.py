@@ -9,7 +9,6 @@ from repro.common.protocol_names import Protocol
 from repro.common.transactions import (
     TransactionOutcome,
     TransactionSpec,
-    TransactionStatus,
 )
 
 
@@ -68,27 +67,6 @@ class TestTransactionSpecProperties:
     def test_accessed_items_sorted_and_distinct(self):
         spec = make_spec(read_items=(3, 1), write_items=(1, 2))
         assert spec.accessed_items() == (1, 2, 3)
-
-    def test_with_protocol_preserves_everything_else(self):
-        spec = make_spec()
-        bound = spec.with_protocol(Protocol.PRECEDENCE_AGREEMENT)
-        assert bound.protocol is Protocol.PRECEDENCE_AGREEMENT
-        assert bound.tid == spec.tid
-        assert bound.read_items == spec.read_items
-        assert bound.arrival_time == spec.arrival_time
-
-    def test_with_protocol_preserves_logic(self):
-        logic = lambda reads: {2: 42}
-        spec = make_spec(logic=logic)
-        assert spec.with_protocol(Protocol.TWO_PHASE_LOCKING).logic is logic
-
-
-class TestTransactionStatus:
-    def test_terminal_states(self):
-        assert TransactionStatus.COMMITTED.is_terminal
-        assert TransactionStatus.FINISHED.is_terminal
-        assert not TransactionStatus.REQUESTING.is_terminal
-        assert not TransactionStatus.ABORTED.is_terminal
 
 
 class TestTransactionOutcome:

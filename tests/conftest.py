@@ -11,6 +11,7 @@ from repro.common.config import NetworkConfig, SystemConfig, WorkloadConfig
 from repro.common.ids import CopyId, RequestId, TransactionId
 from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
+from repro.core.deadlock import pack_transaction
 from repro.core.queue_manager import QueueManager
 from repro.core.requests import Request
 from repro.storage.log import ExecutionLog
@@ -52,6 +53,31 @@ def make_request(
         backoff_interval=backoff_interval,
         issuer=issuer,
     )
+
+
+def packed_wait_for(edges):
+    """``(adjacency, transaction_of)`` for ``DeadlockDetector.resolve_packed``
+    from ``(waiter, holder)`` pairs; self-edges are dropped."""
+    adjacency, transaction_of = {}, {}
+    for waiter, holder in edges:
+        if waiter != holder:
+            for tid in (waiter, holder):
+                transaction_of[pack_transaction(tid)] = tid
+                adjacency.setdefault(pack_transaction(tid), set())
+            adjacency[pack_transaction(waiter)].add(pack_transaction(holder))
+    return adjacency, transaction_of
+
+
+def wait_edges(*managers: QueueManager):
+    """The ``(waiter, holder)`` pairs ``collect_wait_edges`` reports for ``managers``."""
+    adjacency, transaction_of = {}, {}
+    for manager in managers:
+        manager.collect_wait_edges(adjacency, transaction_of)
+    return [
+        (transaction_of[waiter], transaction_of[holder])
+        for waiter, holders in adjacency.items()
+        for holder in sorted(holders)
+    ]
 
 
 @pytest.fixture

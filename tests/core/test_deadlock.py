@@ -1,71 +1,53 @@
-"""Wait-for graph and deadlock victim selection."""
+"""Deadlock cycle search and victim selection (``DeadlockDetector.resolve_packed``)."""
 
 from repro.common.ids import TransactionId
 from repro.common.protocol_names import Protocol
-from repro.core.deadlock import DeadlockDetector, WaitForGraph
+from repro.core.deadlock import DeadlockDetector
+
+from tests.conftest import packed_wait_for
 
 
 T1, T2, T3, T4 = (TransactionId(0, i) for i in range(1, 5))
 
 
-class TestWaitForGraph:
+def resolve(detector, edges, protocol_of):
+    return detector.resolve_packed(*packed_wait_for(edges), protocol_of)
+
+
+class TestCycleSearch:
     def test_acyclic_graph_has_no_cycle(self):
-        graph = WaitForGraph()
-        graph.add_edges([(T1, T2), (T2, T3)])
-        assert graph.find_cycle() is None
+        resolution = resolve(DeadlockDetector(), [(T1, T2), (T2, T3)], {})
+        assert resolution.cycles == [] and resolution.phantom_cycles == []
 
     def test_self_edges_are_ignored(self):
-        graph = WaitForGraph()
-        graph.add_edge(T1, T1)
-        assert graph.find_cycle() is None
-        assert graph.edge_count() == 0
+        assert packed_wait_for([(T1, T1)]) == ({}, {})
+        assert not resolve(DeadlockDetector(), [(T1, T1)], {}).deadlock_found
 
     def test_two_cycle_detected(self):
-        graph = WaitForGraph()
-        graph.add_edges([(T1, T2), (T2, T1)])
-        cycle = graph.find_cycle()
-        assert cycle is not None
+        (cycle,) = resolve(DeadlockDetector(), [(T1, T2), (T2, T1)], {}).cycles
         assert set(cycle) == {T1, T2}
 
     def test_long_cycle_detected(self):
-        graph = WaitForGraph()
-        graph.add_edges([(T1, T2), (T2, T3), (T3, T4), (T4, T1)])
-        cycle = graph.find_cycle()
+        edges = [(T1, T2), (T2, T3), (T3, T4), (T4, T1)]
+        (cycle,) = resolve(DeadlockDetector(), edges, {}).cycles
         assert set(cycle) == {T1, T2, T3, T4}
 
     def test_cycle_in_disconnected_component(self):
-        graph = WaitForGraph()
-        graph.add_edges([(T1, T2), (T3, T4), (T4, T3)])
-        cycle = graph.find_cycle()
+        edges = [(T1, T2), (T3, T4), (T4, T3)]
+        (cycle,) = resolve(DeadlockDetector(), edges, {}).cycles
         assert set(cycle) == {T3, T4}
-
-    def test_remove_node_breaks_cycle(self):
-        graph = WaitForGraph()
-        graph.add_edges([(T1, T2), (T2, T1)])
-        graph.remove_node(T1)
-        assert graph.find_cycle() is None
-
-    def test_successors_sorted(self):
-        graph = WaitForGraph()
-        graph.add_edges([(T1, T3), (T1, T2)])
-        assert graph.successors(T1) == (T2, T3)
-
-    def test_nodes_include_targets(self):
-        graph = WaitForGraph()
-        graph.add_edge(T1, T2)
-        assert set(graph.nodes()) == {T1, T2}
 
 
 class TestDeadlockDetector:
     def test_no_deadlock_resolution_is_empty(self):
         detector = DeadlockDetector()
-        resolution = detector.resolve([(T1, T2)], {})
+        resolution = resolve(detector, [(T1, T2)], {})
         assert not resolution.deadlock_found
         assert resolution.victims == []
 
     def test_victim_chosen_from_cycle(self):
         detector = DeadlockDetector()
-        resolution = detector.resolve([(T1, T2), (T2, T1)], {})
+        resolution = resolve(detector, [(T1, T2), (T2, T1)], {})
         assert resolution.deadlock_found
         assert len(resolution.victims) == 1
         assert resolution.victims[0] in {T1, T2}
@@ -73,25 +55,25 @@ class TestDeadlockDetector:
     def test_victim_prefers_2pl_members(self):
         detector = DeadlockDetector()
         protocols = {T1: Protocol.PRECEDENCE_AGREEMENT, T2: Protocol.TWO_PHASE_LOCKING}
-        resolution = detector.resolve([(T1, T2), (T2, T1)], protocols)
+        resolution = resolve(detector, [(T1, T2), (T2, T1)], protocols)
         assert resolution.victims == [T2]
 
     def test_victim_prefers_fewest_locks(self):
         detector = DeadlockDetector(lock_count_of=lambda tid: {T1: 5, T2: 1}[tid])
         protocols = {T1: Protocol.TWO_PHASE_LOCKING, T2: Protocol.TWO_PHASE_LOCKING}
-        resolution = detector.resolve([(T1, T2), (T2, T1)], protocols)
+        resolution = resolve(detector, [(T1, T2), (T2, T1)], protocols)
         assert resolution.victims == [T2]
 
     def test_tie_break_prefers_youngest(self):
         detector = DeadlockDetector()
         protocols = {T1: Protocol.TWO_PHASE_LOCKING, T2: Protocol.TWO_PHASE_LOCKING}
-        resolution = detector.resolve([(T1, T2), (T2, T1)], protocols)
+        resolution = resolve(detector, [(T1, T2), (T2, T1)], protocols)
         assert resolution.victims == [T2]   # larger seq = younger
 
     def test_multiple_cycles_all_resolved_in_one_scan(self):
         detector = DeadlockDetector()
         edges = [(T1, T2), (T2, T1), (T3, T4), (T4, T3)]
-        resolution = detector.resolve(edges, {})
+        resolution = resolve(detector, edges, {})
         assert len(resolution.cycles) == 2
         assert len(resolution.victims) == 2
 
@@ -99,17 +81,15 @@ class TestDeadlockDetector:
         detector = DeadlockDetector()
         protocols = {tid: Protocol.TWO_PHASE_LOCKING for tid in (T1, T2, T3)}
         edges = [(T1, T2), (T2, T1), (T2, T3), (T3, T2)]
-        resolution = detector.resolve(edges, protocols)
+        resolution = resolve(detector, edges, protocols)
         # Removing victims must leave the remaining graph acyclic.
-        remaining = WaitForGraph()
-        remaining.add_edges(edges)
-        for victim in resolution.victims:
-            remaining.remove_node(victim)
-        assert remaining.find_cycle() is None
+        victims = set(resolution.victims)
+        remaining = [edge for edge in edges if not victims.intersection(edge)]
+        assert not resolve(detector, remaining, protocols).deadlock_found
 
     def test_unknown_protocol_defaults_to_2pl_candidate(self):
         detector = DeadlockDetector()
-        resolution = detector.resolve([(T1, T2), (T2, T1)], {T1: Protocol.TIMESTAMP_ORDERING})
+        resolution = resolve(detector, [(T1, T2), (T2, T1)], {T1: Protocol.TIMESTAMP_ORDERING})
         # T2 has no protocol registered; it is treated as 2PL and chosen.
         assert resolution.victims == [T2]
 
@@ -120,7 +100,7 @@ class TestPhantomCycles:
     def test_pure_to_cycle_aborts_nobody(self):
         detector = DeadlockDetector()
         protocols = {T1: Protocol.TIMESTAMP_ORDERING, T2: Protocol.TIMESTAMP_ORDERING}
-        resolution = detector.resolve([(T1, T2), (T2, T1)], protocols)
+        resolution = resolve(detector, [(T1, T2), (T2, T1)], protocols)
         assert resolution.victims == []
         assert not resolution.deadlock_found
         assert resolution.phantom_cycles == [(T1, T2)] or resolution.phantom_cycles == [(T2, T1)]
@@ -128,7 +108,7 @@ class TestPhantomCycles:
     def test_pure_pa_cycle_aborts_nobody(self):
         detector = DeadlockDetector()
         protocols = {T1: Protocol.PRECEDENCE_AGREEMENT, T2: Protocol.PRECEDENCE_AGREEMENT}
-        resolution = detector.resolve([(T1, T2), (T2, T1)], protocols)
+        resolution = resolve(detector, [(T1, T2), (T2, T1)], protocols)
         assert resolution.victims == []
         assert len(resolution.phantom_cycles) == 1
 
@@ -141,7 +121,7 @@ class TestPhantomCycles:
             T4: Protocol.TWO_PHASE_LOCKING,
         }
         edges = [(T1, T2), (T2, T1), (T3, T4), (T4, T3)]
-        resolution = detector.resolve(edges, protocols)
+        resolution = resolve(detector, edges, protocols)
         assert len(resolution.phantom_cycles) == 1
         assert len(resolution.cycles) == 1
         assert resolution.victims and resolution.victims[0] in {T3, T4}
@@ -149,6 +129,6 @@ class TestPhantomCycles:
     def test_mixed_cycle_is_not_a_phantom(self):
         detector = DeadlockDetector()
         protocols = {T1: Protocol.TIMESTAMP_ORDERING, T2: Protocol.TWO_PHASE_LOCKING}
-        resolution = detector.resolve([(T1, T2), (T2, T1)], protocols)
+        resolution = resolve(detector, [(T1, T2), (T2, T1)], protocols)
         assert resolution.victims == [T2]
         assert resolution.phantom_cycles == []

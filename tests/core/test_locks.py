@@ -32,12 +32,11 @@ class TestLockModeConflicts:
             (WL, WL): True, (WL, SWL): True, (SWL, SWL): True,
         }
         for (a, b), conflict in expected.items():
-            assert a.conflicts_with(b) is conflict
-            assert b.conflicts_with(a) is conflict
-
-    def test_semi_flags(self):
-        assert LockMode.SEMI_READ.is_semi and LockMode.SEMI_WRITE.is_semi
-        assert not LockMode.READ.is_semi and not LockMode.WRITE.is_semi
+            for requested, held in ((a, b), (b, a)):
+                table = LockTable(COPY)
+                table.grant(rid(1), TransactionId(0, 1), Protocol.TWO_PHASE_LOCKING,
+                            held, time=1.0, pre_scheduled=False)
+                assert bool(table.conflicting_locks(requested)) is conflict
 
     def test_downgrade_mapping(self):
         assert LockMode.READ.downgraded() is LockMode.SEMI_READ
@@ -94,14 +93,6 @@ class TestLockTable:
                     LockMode.READ, time=2.0, pre_scheduled=False)
         assert [lock.request_id for lock in table.locks()] == [rid(2), rid(1)]
 
-    def test_holders_distinct_in_grant_order(self):
-        table = LockTable(COPY)
-        table.grant(rid(1, 0), TransactionId(0, 1), Protocol.TWO_PHASE_LOCKING,
-                    LockMode.READ, time=1.0, pre_scheduled=False)
-        table.grant(rid(2, 0), TransactionId(0, 2), Protocol.TWO_PHASE_LOCKING,
-                    LockMode.READ, time=2.0, pre_scheduled=False)
-        assert table.holders() == (TransactionId(0, 1), TransactionId(0, 2))
-
     def test_conflicting_locks_excludes_own_transaction(self):
         table = LockTable(COPY)
         table.grant(rid(1), TransactionId(0, 1), Protocol.TWO_PHASE_LOCKING,
@@ -125,17 +116,6 @@ class TestLockTable:
             first.mode, excluding=TransactionId(0, 1), granted_before=first.grant_seq
         )
         assert later == ()
-
-    def test_unreleased_with_modes(self):
-        table = LockTable(COPY)
-        table.grant(rid(1), TransactionId(0, 1), Protocol.TWO_PHASE_LOCKING,
-                    LockMode.WRITE, time=1.0, pre_scheduled=False)
-        table.grant(rid(2), TransactionId(0, 2), Protocol.TIMESTAMP_ORDERING,
-                    LockMode.SEMI_READ, time=2.0, pre_scheduled=True)
-        writes = table.unreleased_with_modes([LockMode.WRITE])
-        assert len(writes) == 1
-        semi = table.unreleased_with_modes([LockMode.SEMI_READ], excluding=TransactionId(0, 2))
-        assert semi == ()
 
     def test_downgrade_changes_mode_in_place(self):
         table = LockTable(COPY)

@@ -14,7 +14,7 @@ from repro.core.deadlock import DeadlockDetector
 from repro.core.queue_manager import QueueManager
 from repro.storage.log import ExecutionLog
 
-from tests.conftest import make_request
+from tests.conftest import make_request, packed_wait_for, wait_edges
 
 READER = TransactionId(3, 41)    # T/O, still requesting elsewhere
 FINISHED = TransactionId(3, 42)  # T/O, finished, awaiting normality
@@ -54,34 +54,32 @@ def semilock_cycle(downgraded=True):
     return first, second
 
 
-def edges(*managers):
-    return [edge for manager in managers for edge in manager.wait_edges()]
-
-
 class TestNormalityWaitEdges:
     def test_downgraded_pre_scheduled_lock_waits_for_the_earlier_holder(self):
         first, second = semilock_cycle()
-        assert (FINISHED, READER) in first.wait_edges()
-        assert set(edges(first, second)) == {
+        assert (FINISHED, READER) in wait_edges(first)
+        assert set(wait_edges(first, second)) == {
             (LOCKER, FINISHED), (FINISHED, READER), (READER, LOCKER),
         }
 
     def test_the_cycle_is_resolved_by_aborting_the_2pl_member(self):
-        resolution = DeadlockDetector().resolve(edges(*semilock_cycle()), PROTOCOLS)
+        resolution = DeadlockDetector().resolve_packed(
+            *packed_wait_for(wait_edges(*semilock_cycle())), PROTOCOLS
+        )
         assert resolution.victims == [LOCKER]
         assert not resolution.phantom_cycles
 
     def test_pre_scheduled_lock_not_yet_downgraded_waits_for_nobody(self):
         # FINISHED is still executing: it will downgrade or release by itself.
         first, second = semilock_cycle(downgraded=False)
-        assert set(edges(first, second)) == {(LOCKER, FINISHED), (READER, LOCKER)}
+        assert set(wait_edges(first, second)) == {(LOCKER, FINISHED), (READER, LOCKER)}
 
     def test_downgraded_normal_lock_waits_for_nobody(self):
         manager = QueueManager(CopyId(2, 0), ExecutionLog())
         manager.submit(request(FINISHED, "w", 2, timestamp=2.0), now=1.0)
         manager.submit(request(LOCKER, "r", 2), now=2.0)
         manager.downgrade(FINISHED, now=3.0)
-        assert manager.wait_edges() == [(LOCKER, FINISHED)]
+        assert wait_edges(manager) == [(LOCKER, FINISHED)]
 
     @pytest.mark.parametrize(
         "action",
@@ -97,13 +95,13 @@ class TestNormalityWaitEdges:
     def test_edge_is_gone_once_the_wait_is_over(self, action):
         first, _second = semilock_cycle()
         action(first)
-        assert (FINISHED, READER) not in first.wait_edges()
+        assert (FINISHED, READER) not in wait_edges(first)
         assert not first._locks.awaiting_normal()
 
     def test_two_phase_commit_release_defers_the_lock_and_keeps_the_edge(self):
         first, _second = semilock_cycle(downgraded=False)
         first.release_prepared(FINISHED, now=4.0)
-        assert (FINISHED, READER) in first.wait_edges()
+        assert (FINISHED, READER) in wait_edges(first)
         first.release(READER, now=5.0)   # turns normal: auto-released with it
         assert not first._locks.awaiting_normal()
-        assert first.wait_edges() == []
+        assert wait_edges(first) == []

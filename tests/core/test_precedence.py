@@ -88,11 +88,3 @@ class TestHelpers:
         ordered = sorted(items, key=lambda p: p.sort_key())
         assert [p.timestamp for p in ordered] == [1.0, 1.0, 2.0, 3.0]
         assert ordered[0].site == 0
-
-    def test_is_two_phase_locking_flag(self):
-        assert prec(1.0, Protocol.TWO_PHASE_LOCKING).is_two_phase_locking
-        assert not prec(1.0, Protocol.PRECEDENCE_AGREEMENT).is_two_phase_locking
-
-    def test_str_contains_timestamp_and_transaction(self):
-        text = str(prec(1.5, Protocol.TIMESTAMP_ORDERING, site=0, seq=3))
-        assert "1.5" in text and "T0.3" in text

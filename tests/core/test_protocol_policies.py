@@ -1,5 +1,7 @@
 """Per-protocol precedence-assignment policies."""
 
+from typing import NamedTuple, Optional
+
 import pytest
 
 from repro.common.errors import ProtocolError, UnknownProtocolError
@@ -12,37 +14,37 @@ from repro.core.protocols import (
     TimestampOrderingPolicy,
     TwoPhaseLockingPolicy,
     default_policies,
-    get_policy,
     register_policy,
 )
-from repro.core.protocols.base import QueueStateView
 
 from tests.conftest import make_request
 
 
-def view(read_ts=0.0, write_ts=0.0, max_seen=0.0, arrival_seq=0):
-    return QueueStateView(
-        read_ts=read_ts,
-        write_ts=write_ts,
-        max_timestamp_seen=max_seen,
-        arrival_seq=arrival_seq,
-    )
+class Decision(NamedTuple):
+    kind: DecisionKind
+    precedence: object
+    backoff_timestamp: Optional[float]
+
+
+def decide(policy, request, read_ts=0.0, write_ts=0.0, max_seen=0.0, arrival_seq=0):
+    """``policy``'s assignment function on one arrival, with named fields."""
+    return Decision(*policy.assign(request, read_ts, write_ts, max_seen, arrival_seq))
 
 
 class TestTwoPhaseLockingPolicy:
     def test_always_accepts(self):
         policy = TwoPhaseLockingPolicy()
         request = make_request(protocol=Protocol.TWO_PHASE_LOCKING, timestamp=42.0)
-        decision = policy.decide_arrival(request, view(write_ts=100.0, read_ts=100.0))
+        decision = decide(policy, request, write_ts=100.0, read_ts=100.0)
         assert decision.kind is DecisionKind.ACCEPT
 
     def test_precedence_uses_max_seen_timestamp_not_own(self):
         policy = TwoPhaseLockingPolicy()
         request = make_request(protocol=Protocol.TWO_PHASE_LOCKING, timestamp=42.0)
-        decision = policy.decide_arrival(request, view(max_seen=7.0, arrival_seq=3))
+        decision = decide(policy, request, max_seen=7.0, arrival_seq=3)
         assert decision.precedence.timestamp == 7.0
         assert decision.precedence.arrival_seq == 3
-        assert decision.precedence.is_two_phase_locking
+        assert decision.precedence.protocol is Protocol.TWO_PHASE_LOCKING
 
     def test_lock_modes(self):
         policy = TwoPhaseLockingPolicy()
@@ -54,38 +56,38 @@ class TestTimestampOrderingPolicy:
     def test_read_accepted_when_newer_than_write_ts(self):
         policy = TimestampOrderingPolicy()
         request = make_request(protocol=Protocol.TIMESTAMP_ORDERING, op="r", timestamp=5.0)
-        decision = policy.decide_arrival(request, view(write_ts=4.0, read_ts=100.0))
+        decision = decide(policy, request, write_ts=4.0, read_ts=100.0)
         assert decision.kind is DecisionKind.ACCEPT
         assert decision.precedence.timestamp == 5.0
 
     def test_read_rejected_when_older_than_write_ts(self):
         policy = TimestampOrderingPolicy()
         request = make_request(protocol=Protocol.TIMESTAMP_ORDERING, op="r", timestamp=3.0)
-        decision = policy.decide_arrival(request, view(write_ts=4.0))
+        decision = decide(policy, request, write_ts=4.0)
         assert decision.kind is DecisionKind.REJECT
 
     def test_write_rejected_by_newer_read(self):
         policy = TimestampOrderingPolicy()
         request = make_request(protocol=Protocol.TIMESTAMP_ORDERING, op="w", timestamp=3.0)
-        decision = policy.decide_arrival(request, view(write_ts=0.0, read_ts=4.0))
+        decision = decide(policy, request, write_ts=0.0, read_ts=4.0)
         assert decision.kind is DecisionKind.REJECT
 
     def test_write_rejected_by_newer_write(self):
         policy = TimestampOrderingPolicy()
         request = make_request(protocol=Protocol.TIMESTAMP_ORDERING, op="w", timestamp=3.0)
-        decision = policy.decide_arrival(request, view(write_ts=5.0, read_ts=0.0))
+        decision = decide(policy, request, write_ts=5.0, read_ts=0.0)
         assert decision.kind is DecisionKind.REJECT
 
     def test_write_accepted_when_newer_than_both(self):
         policy = TimestampOrderingPolicy()
         request = make_request(protocol=Protocol.TIMESTAMP_ORDERING, op="w", timestamp=6.0)
-        decision = policy.decide_arrival(request, view(write_ts=5.0, read_ts=4.0))
+        decision = decide(policy, request, write_ts=5.0, read_ts=4.0)
         assert decision.kind is DecisionKind.ACCEPT
 
     def test_equal_timestamp_counts_as_out_of_order(self):
         policy = TimestampOrderingPolicy()
         request = make_request(protocol=Protocol.TIMESTAMP_ORDERING, op="r", timestamp=4.0)
-        decision = policy.decide_arrival(request, view(write_ts=4.0))
+        decision = decide(policy, request, write_ts=4.0)
         assert decision.kind is DecisionKind.REJECT
 
     def test_to_readers_use_semi_read_locks_only_with_semi_locks_enabled(self):
@@ -98,7 +100,7 @@ class TestPrecedenceAgreementPolicy:
     def test_acceptable_request_proposes_its_own_timestamp(self):
         policy = PrecedenceAgreementPolicy()
         request = make_request(protocol=Protocol.PRECEDENCE_AGREEMENT, op="r", timestamp=5.0)
-        decision = policy.decide_arrival(request, view(write_ts=4.0))
+        decision = decide(policy, request, write_ts=4.0)
         assert decision.kind is DecisionKind.BLOCK
         assert decision.backoff_timestamp == 5.0
         assert decision.precedence.timestamp == 5.0
@@ -108,7 +110,7 @@ class TestPrecedenceAgreementPolicy:
         request = make_request(
             protocol=Protocol.PRECEDENCE_AGREEMENT, op="r", timestamp=3.0, backoff_interval=1.0
         )
-        decision = policy.decide_arrival(request, view(write_ts=4.5))
+        decision = decide(policy, request, write_ts=4.5)
         assert decision.kind is DecisionKind.BLOCK
         assert decision.backoff_timestamp == pytest.approx(5.0)
         assert decision.precedence.timestamp == pytest.approx(5.0)
@@ -118,7 +120,7 @@ class TestPrecedenceAgreementPolicy:
         request = make_request(
             protocol=Protocol.PRECEDENCE_AGREEMENT, op="w", timestamp=3.0, backoff_interval=2.0
         )
-        decision = policy.decide_arrival(request, view(write_ts=4.0, read_ts=6.5))
+        decision = decide(policy, request, write_ts=4.0, read_ts=6.5)
         assert decision.backoff_timestamp == pytest.approx(7.0)
 
     def test_backoff_timestamp_is_smallest_multiple_above_threshold(self):
@@ -140,10 +142,6 @@ class TestRegistry:
     def test_default_policies_cover_all_protocols(self):
         policies = default_policies()
         assert set(policies) == set(Protocol)
-
-    def test_get_policy_returns_registered_instances(self):
-        for protocol in Protocol:
-            assert get_policy(protocol).protocol is protocol
 
     def test_register_duplicate_requires_replace(self):
         with pytest.raises(UnknownProtocolError):

@@ -8,7 +8,7 @@ from repro.core.effects import GrantIssued
 from repro.core.locks import LockMode
 from repro.core.queue_manager import QueueManager
 
-from tests.conftest import make_request
+from tests.conftest import make_request, wait_edges
 
 
 def twopl_request(seq, op="w", ts=1.0, index=0, site=0):
@@ -128,25 +128,25 @@ class TestWaitEdges:
     def test_waiter_edges_point_to_lock_holder(self, queue_manager):
         queue_manager.submit(twopl_request(1, "w"), now=1.0)
         queue_manager.submit(twopl_request(2, "w"), now=2.0)
-        edges = queue_manager.wait_edges()
+        edges = wait_edges(queue_manager)
         assert (TransactionId(0, 2), TransactionId(0, 1)) in edges
 
     def test_no_edges_when_nothing_waits(self, queue_manager):
         queue_manager.submit(twopl_request(1, "w"), now=1.0)
-        assert queue_manager.wait_edges() == []
+        assert wait_edges(queue_manager) == []
 
     def test_waiter_edges_point_to_earlier_ungranted_entries(self, queue_manager):
         queue_manager.submit(twopl_request(1, "w"), now=1.0)
         queue_manager.submit(twopl_request(2, "w"), now=2.0)
         queue_manager.submit(twopl_request(3, "w"), now=3.0)
-        edges = queue_manager.wait_edges()
+        edges = wait_edges(queue_manager)
         assert (TransactionId(0, 3), TransactionId(0, 2)) in edges
         assert (TransactionId(0, 3), TransactionId(0, 1)) in edges
 
-    def test_blocked_transactions_listed(self, queue_manager):
+    def test_only_the_blocked_transaction_waits(self, queue_manager):
         queue_manager.submit(twopl_request(1, "w"), now=1.0)
         queue_manager.submit(twopl_request(2, "w"), now=2.0)
-        assert queue_manager.blocked_transactions() == (TransactionId(0, 2),)
+        assert wait_edges(queue_manager) == [(TransactionId(0, 2), TransactionId(0, 1))]
 
 
 class TestStatistics:

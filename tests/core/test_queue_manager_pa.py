@@ -8,7 +8,7 @@ from repro.core.effects import BackoffIssued, GrantIssued, RequestRejected
 from repro.core.locks import LockMode
 from repro.core.queue_manager import QueueManager
 
-from tests.conftest import make_request
+from tests.conftest import make_request, wait_edges
 
 
 def pa_request(seq, op="w", ts=1.0, site=0, interval=1.0):
@@ -182,7 +182,7 @@ class TestReleaseAndLog:
         queue_manager.submit(pa_request(1, "w", ts=1.0), now=1.0)     # pending
         queue_manager.submit(pa_request(2, "w", ts=2.0), now=1.5)
         queue_manager.update_timestamp(TransactionId(0, 2), 2.0, now=2.0)
-        edges = queue_manager.wait_edges()
+        edges = wait_edges(queue_manager)
         # Transaction 2 waits behind the pending entry of transaction 1, but a
         # pending entry resolves on its own, so no wait-for edge is reported.
         assert edges == []

@@ -1,8 +1,5 @@
 """Conflict-graph oracle."""
 
-import pytest
-
-from repro.common.errors import SerializationViolationError
 from repro.common.ids import CopyId, TransactionId
 from repro.common.operations import OperationType
 from repro.common.protocol_names import Protocol
@@ -117,20 +114,6 @@ class TestCycleDetection:
         report = check_serializable(ExecutionLog())
         assert report.serializable
         assert report.serialization_order == []
-
-    def test_raise_on_violation(self):
-        log = ExecutionLog()
-        record(log, X, T1, "w", 1.0)
-        record(log, X, T2, "w", 2.0)
-        record(log, Y, T2, "w", 1.0)
-        record(log, Y, T1, "w", 2.0)
-        report = check_serializable(log)
-        with pytest.raises(SerializationViolationError):
-            report.raise_on_violation()
-
-    def test_raise_on_violation_noop_when_serializable(self):
-        report = check_serializable(ExecutionLog())
-        report.raise_on_violation()     # must not raise
 
 
 class TestTopologicalOrder:

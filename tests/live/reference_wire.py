@@ -6,8 +6,8 @@ kept as the specification the fast codec is tested against
 (``tests/live/test_wire_codec.py``): for every value, both encoders must
 produce the same bytes, both decoders the same values of the same exact
 classes, and every frame this decoder rejects the fast one must reject
-too.  It shares the fast codec's closed registry, so a class registered
-with :func:`repro.live.wire.register_wire_dataclass` is known to both.
+too.  It shares the fast codec's closed registry of record, enum and id
+types.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ from repro.live.wire import (
     WireError,
     decode_frame_body,
     encode_message,
-    register_wire_dataclass,
 )
 from repro.sim.actor import Message
 from repro.storage.log import CommitDecision, LogEntry
@@ -309,14 +308,6 @@ class TestIdsKeepTheirClass:
         assert [type(item) for item in decoded] == [TransactionId, tuple, CopyId, dict]
         assert type(next(iter(decoded[3]))) is TransactionId
         assert type(decoded[3][TransactionId(1, 2)]) is tuple
-
-    def test_an_id_type_cannot_be_shadowed_by_a_dataclass(self) -> None:
-        @dataclasses.dataclass
-        class TransactionId:  # noqa: F811 - deliberately the same tag
-            site: int
-
-        with pytest.raises(WireError, match="already registered"):
-            register_wire_dataclass(TransactionId)
 
 
 class TestMalformedFrames:

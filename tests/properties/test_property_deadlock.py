@@ -1,12 +1,13 @@
 """The deadlock detector's one-sort, masked resolver against the plain algorithm.
 
-:meth:`DeadlockDetector.resolve` packs transaction ids into int keys, sorts
-the wait-for adjacency once per scan and *masks* each victim (and every node
-of a phantom, no-2PL cycle) instead of deleting it.  Its docstring promises
-the cycles, and therefore the victims, of a scan that physically deletes them
-from an id-keyed graph.  The reference below is that plain scan: a recursive
-three-colour DFS in sorted id order, a fresh search after every deletion, and
-the victim rule written out (a 2PL member, fewest locks, then youngest).
+:meth:`DeadlockDetector.resolve_packed` takes a wait-for adjacency over
+packed int keys (built here by ``packed_wait_for``), sorts it once per scan
+and *masks* each victim (and every node of a phantom, no-2PL cycle) instead
+of deleting it.  Its docstring promises the cycles, and therefore the
+victims, of a scan that physically deletes them from an id-keyed graph.
+The reference below is that plain scan: a recursive three-colour DFS in
+sorted id order, a fresh search after every deletion, and the victim rule
+written out (a 2PL member, fewest locks, then youngest).
 """
 
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from repro.common.ids import TransactionId
 from repro.common.protocol_names import Protocol
 from repro.core.deadlock import DeadlockDetector
+
+from tests.conftest import packed_wait_for
 
 #: Few transactions and many edges, so one scan meets several cycles at once.
 POOL = [TransactionId(site, seq) for site in range(2) for seq in range(1, 5)]
@@ -88,7 +91,7 @@ def test_resolve_matches_deleting_scan(edges, protocols, locks):
     protocol_of = dict(zip(POOL, protocols))
     lock_count = dict(zip(POOL, locks))
     detector = DeadlockDetector(lock_count_of=lock_count.__getitem__)
-    resolution = detector.resolve(edges, protocol_of)
+    resolution = detector.resolve_packed(*packed_wait_for(edges), protocol_of)
     cycles, victims, phantoms = reference_resolve(edges, protocol_of, lock_count)
     assert resolution.victims == victims
     assert list(map(rotated, resolution.cycles)) == list(map(rotated, cycles))

@@ -99,9 +99,7 @@ class TestMeasuredValues:
             tid=TransactionId(0, 1), read_items=(0,), write_items=(1,), arrival_time=0.0
         )
         for index in range(committed):
-            metrics.record_attempt(Protocol.TIMESTAMP_ORDERING)
-            metrics.record_request_issued(Protocol.TIMESTAMP_ORDERING, OperationType.READ)
-            metrics.record_request_issued(Protocol.TIMESTAMP_ORDERING, OperationType.WRITE)
+            metrics.record_attempt(Protocol.TIMESTAMP_ORDERING, reads=1, writes=1)
             metrics.record_lock_time(Protocol.TIMESTAMP_ORDERING, 0.25, aborted=False)
             metrics.record_commit(
                 TransactionOutcome(
@@ -160,8 +158,7 @@ def _record_epoch(metrics, lock_time, committed=6, commit_offset=0.0):
         tid=TransactionId(0, 1), read_items=(0,), write_items=(1,), arrival_time=0.0
     )
     for index in range(committed):
-        metrics.record_attempt(Protocol.TIMESTAMP_ORDERING)
-        metrics.record_request_issued(Protocol.TIMESTAMP_ORDERING, OperationType.WRITE)
+        metrics.record_attempt(Protocol.TIMESTAMP_ORDERING, writes=1)
         metrics.record_lock_time(Protocol.TIMESTAMP_ORDERING, lock_time, aborted=False)
         metrics.record_commit(
             TransactionOutcome(

@@ -51,12 +51,6 @@ class TestExploration:
             selector.choose(spec(seq=index + 1), now=float(index))
         assert selector.decisions == 5
 
-    def test_choice_counts_sum_to_decisions(self):
-        selector = make_selector()
-        for index in range(7):
-            selector.choose(spec(seq=index + 1), now=float(index))
-        assert sum(selector.choice_counts().values()) == 7
-
 
 class TestSelection:
     def test_post_exploration_choices_use_stl_breakdown(self):

@@ -274,7 +274,6 @@ class TestProtocolFormulas:
             costs(Protocol.PRECEDENCE_AGREEMENT),
         )
         assert isinstance(breakdown, STLBreakdown)
-        assert set(breakdown.as_dict()) == {"2PL", "T/O", "PA"}
 
 
 class TestBreakdown:

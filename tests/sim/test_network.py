@@ -77,17 +77,6 @@ class TestDelivery:
         payloads = [message.payload for message in receiver.received]
         assert payloads == list(range(20))
 
-    def test_broadcast_reaches_every_receiver(self):
-        simulator, network = build_network()
-        sender = Recorder("s", 0)
-        receivers = [Recorder(f"r{i}", i % 2) for i in range(3)]
-        network.register(sender)
-        for receiver in receivers:
-            network.register(receiver)
-        network.broadcast(sender, [r.name for r in receivers], "hello")
-        simulator.run()
-        assert all(len(r.received) == 1 for r in receivers)
-
 
 class TestAccounting:
     def test_message_counters(self):

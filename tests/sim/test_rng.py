@@ -46,11 +46,3 @@ class TestRandomStreams:
         streams = RandomStreams(5)
         samples = [streams.exponential("d", 2.0) for _ in range(5000)]
         assert sum(samples) / len(samples) == pytest.approx(2.0, rel=0.1)
-
-    def test_uniform_int_within_bounds(self):
-        streams = RandomStreams(1)
-        for _ in range(100):
-            assert 3 <= streams.uniform_int("n", 3, 7) <= 7
-
-    def test_master_seed_exposed(self):
-        assert RandomStreams(9).master_seed == 9

@@ -75,9 +75,6 @@ class TestRunControl:
         simulator.run()
         assert seen == [1]
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
     def test_trace_hook_sees_labels(self):
         simulator = Simulator()
         traced = []

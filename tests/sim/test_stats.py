@@ -1,15 +1,17 @@
-"""Statistics collectors."""
+"""The Welford mean / variance accumulator."""
 
 import math
 
 import pytest
 
-from repro.sim.stats import (
-    Counter,
-    SummaryStatistics,
-    TimeWeightedValue,
-    WelfordAccumulator,
-)
+from repro.sim.stats import WelfordAccumulator
+
+
+def accumulate(values):
+    acc = WelfordAccumulator()
+    for value in values:
+        acc.add(value)
+    return acc
 
 
 class TestWelfordAccumulator:
@@ -18,24 +20,15 @@ class TestWelfordAccumulator:
         assert acc.count == 0
         assert acc.mean == 0.0
         assert acc.variance == 0.0
-        assert acc.minimum == 0.0
-        assert acc.maximum == 0.0
 
     def test_mean_and_variance_match_reference(self):
         data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        acc = WelfordAccumulator()
-        acc.extend(data)
+        acc = accumulate(data)
         mean = sum(data) / len(data)
         variance = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
         assert acc.mean == pytest.approx(mean)
         assert acc.variance == pytest.approx(variance)
         assert acc.stdev == pytest.approx(math.sqrt(variance))
-
-    def test_min_max(self):
-        acc = WelfordAccumulator()
-        acc.extend([3.0, -1.0, 10.0])
-        assert acc.minimum == -1.0
-        assert acc.maximum == 10.0
 
     def test_single_observation_has_zero_variance(self):
         acc = WelfordAccumulator()
@@ -44,67 +37,6 @@ class TestWelfordAccumulator:
         assert acc.confidence_halfwidth() == 0.0
 
     def test_confidence_halfwidth_shrinks_with_samples(self):
-        small, large = WelfordAccumulator(), WelfordAccumulator()
-        small.extend([1.0, 2.0, 3.0] * 3)
-        large.extend([1.0, 2.0, 3.0] * 300)
+        small = accumulate([1.0, 2.0, 3.0] * 3)
+        large = accumulate([1.0, 2.0, 3.0] * 300)
         assert large.confidence_halfwidth() < small.confidence_halfwidth()
-
-
-class TestCounter:
-    def test_increment_and_get(self):
-        counter = Counter()
-        counter.increment("a")
-        counter.increment("a", 2)
-        assert counter.get("a") == 3
-        assert counter.get("missing") == 0
-
-    def test_as_dict(self):
-        counter = Counter()
-        counter.increment("x", 5)
-        assert counter.as_dict() == {"x": 5}
-
-
-class TestTimeWeightedValue:
-    def test_constant_value_average(self):
-        value = TimeWeightedValue(initial_value=2.0)
-        assert value.average(now=10.0) == pytest.approx(2.0)
-
-    def test_step_change_average(self):
-        value = TimeWeightedValue(initial_value=0.0)
-        value.update(4.0, now=5.0)       # 0 for 5 units, then 4
-        assert value.average(now=10.0) == pytest.approx(2.0)
-
-    def test_rejects_time_going_backwards(self):
-        value = TimeWeightedValue()
-        value.update(1.0, now=5.0)
-        with pytest.raises(ValueError):
-            value.update(2.0, now=4.0)
-
-    def test_current_value(self):
-        value = TimeWeightedValue()
-        value.update(3.0, now=1.0)
-        assert value.current == 3.0
-
-
-class TestSummaryStatistics:
-    def test_from_empty_values(self):
-        summary = SummaryStatistics.from_values([])
-        assert summary.count == 0
-        assert summary.mean == 0.0
-
-    def test_from_values(self):
-        summary = SummaryStatistics.from_values([1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-        assert summary.p50 == pytest.approx(2.5)
-
-    def test_p95_close_to_maximum_for_uniform_data(self):
-        summary = SummaryStatistics.from_values(list(range(101)))
-        assert summary.p95 == pytest.approx(95.0)
-
-    def test_single_value(self):
-        summary = SummaryStatistics.from_values([7.0])
-        assert summary.p50 == 7.0
-        assert summary.p95 == 7.0

@@ -5,7 +5,7 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
 from repro.common.ids import CopyId
-from repro.common.operations import OperationType, read, write
+from repro.common.operations import LogicalOperation, OperationType
 from repro.storage.catalog import ReplicaCatalog
 
 
@@ -49,7 +49,7 @@ class TestPlacement:
         config = SystemConfig(num_sites=4, num_items=8, replication_factor=2)
         catalog = ReplicaCatalog.from_config(config)
         assert catalog.num_sites == 4
-        assert catalog.replication_factor == 2
+        assert len(catalog.copies_of(0)) == 2
 
 
 class TestReadOneWriteAll:
@@ -70,18 +70,22 @@ class TestReadOneWriteAll:
 class TestTranslation:
     def test_reads_become_single_physical_read(self):
         catalog = ReplicaCatalog(num_sites=3, num_items=3, replication_factor=2)
-        physical = catalog.translate([read(0)], origin_site=0)
+        physical = catalog.translate([LogicalOperation(OperationType.READ, 0)], origin_site=0)
         assert len(physical) == 1
         assert physical[0].op_type is OperationType.READ
 
     def test_writes_become_one_per_copy(self):
         catalog = ReplicaCatalog(num_sites=3, num_items=3, replication_factor=2)
-        physical = catalog.translate([write(0)], origin_site=0)
+        physical = catalog.translate([LogicalOperation(OperationType.WRITE, 0)], origin_site=0)
         assert len(physical) == 2
         assert all(op.op_type is OperationType.WRITE for op in physical)
 
     def test_translation_preserves_read_then_write_order(self):
         catalog = ReplicaCatalog(num_sites=2, num_items=4, replication_factor=1)
-        physical = catalog.translate([read(0), write(1)], origin_site=0)
+        operations = [
+            LogicalOperation(OperationType.READ, 0),
+            LogicalOperation(OperationType.WRITE, 1),
+        ]
+        physical = catalog.translate(operations, origin_site=0)
         assert physical[0].op_type is OperationType.READ
         assert physical[-1].op_type is OperationType.WRITE

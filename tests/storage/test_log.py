@@ -127,7 +127,7 @@ class TestExecutionLog:
     def test_record_creates_logs_on_demand(self):
         log = ExecutionLog()
         log.record(COPY, T1, OperationType.WRITE, Protocol.PRECEDENCE_AGREEMENT, 1.0)
-        assert log.copies() == (COPY,)
+        assert [entry.copy for entry in log.all_entries()] == [COPY]
         assert log.total_operations() == 1
 
     def test_transactions_lists_distinct_sorted(self):

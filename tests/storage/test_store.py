@@ -1,4 +1,4 @@
-"""Versioned value store."""
+"""The value store of the physical copies."""
 
 from repro.common.ids import CopyId, TransactionId
 from repro.storage.store import ValueStore
@@ -13,39 +13,22 @@ class TestValueStore:
     def test_default_value_before_any_write(self):
         store = ValueStore(default_value=100)
         assert store.read(COPY) == 100
-        assert store.last_writer(COPY) is None
 
     def test_write_then_read(self):
         store = ValueStore()
         store.write(COPY, 42, T1, time=1.0)
         assert store.read(COPY) == 42
-        assert store.last_writer(COPY) == T1
 
     def test_latest_write_wins(self):
         store = ValueStore()
         store.write(COPY, 1, T1, time=1.0)
         store.write(COPY, 2, T2, time=2.0)
         assert store.read(COPY) == 2
-        assert store.last_writer(COPY) == T2
 
-    def test_initialize_sets_value_without_writer(self):
+    def test_initialize_sets_value(self):
         store = ValueStore()
         store.initialize(COPY, 7)
         assert store.read(COPY) == 7
-        assert store.last_writer(COPY) is None
-
-    def test_history_is_bounded(self):
-        store = ValueStore(history_limit=3)
-        for value in range(10):
-            store.write(COPY, value, T1, time=float(value))
-        history = store.history(COPY)
-        assert len(history) == 3
-        assert [version.value for version in history] == [7, 8, 9]
-
-    def test_history_preserves_write_times(self):
-        store = ValueStore()
-        store.write(COPY, 5, T1, time=2.5)
-        assert store.history(COPY)[0].write_time == 2.5
 
     def test_snapshot_contains_only_touched_copies(self):
         store = ValueStore()

@@ -366,3 +366,15 @@ class TestStoreCommand:
     def test_missing_store_file_is_an_error(self, tmp_path, capsys):
         assert main(["store", "stats", str(tmp_path / "absent.jsonl")]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestClusterAddresses:
+    BAD = "127.0.0.1:99999,127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003"
+
+    def test_serve_rejects_a_port_out_of_range(self, capsys):
+        assert main(["serve", "--site", "0", "--cluster", self.BAD]) == 2
+        assert "port must be in 1-65535" in capsys.readouterr().err
+
+    def test_drive_rejects_a_port_out_of_range(self, capsys):
+        assert main(["drive", "--cluster", self.BAD.replace(":99999", ":0")]) == 2
+        assert "'127.0.0.1:0': port must be in 1-65535" in capsys.readouterr().err

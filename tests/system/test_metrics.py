@@ -46,15 +46,6 @@ class TestCommitTracking:
         metrics = MetricsCollector()
         assert metrics.mean_system_time() == 0.0
         assert metrics.throughput() == 0.0
-        assert metrics.system_time_summary().count == 0
-
-    def test_system_time_summary_filters_by_protocol(self):
-        metrics = MetricsCollector()
-        metrics.record_commit(outcome(1, Protocol.TWO_PHASE_LOCKING, commit=2.0))
-        metrics.record_commit(outcome(2, Protocol.PRECEDENCE_AGREEMENT, commit=6.0))
-        summary = metrics.system_time_summary(Protocol.PRECEDENCE_AGREEMENT)
-        assert summary.count == 1
-        assert summary.mean == pytest.approx(6.0)
 
 
 class TestProtocolStatistics:
@@ -68,26 +59,16 @@ class TestProtocolStatistics:
 
     def test_rejection_and_backoff_probabilities(self):
         metrics = MetricsCollector()
-        for _ in range(4):
-            metrics.record_request_issued(Protocol.TIMESTAMP_ORDERING, OperationType.READ)
+        metrics.record_attempt(Protocol.TIMESTAMP_ORDERING, reads=4)
         metrics.record_rejection(Protocol.TIMESTAMP_ORDERING, OperationType.READ)
         stats = metrics.protocol_statistics(Protocol.TIMESTAMP_ORDERING)
         assert stats.read_rejection_probability == pytest.approx(0.25)
         assert stats.write_rejection_probability == 0.0
 
-        for _ in range(2):
-            metrics.record_request_issued(Protocol.PRECEDENCE_AGREEMENT, OperationType.WRITE)
+        metrics.record_attempt(Protocol.PRECEDENCE_AGREEMENT, writes=2)
         metrics.record_backoff(Protocol.PRECEDENCE_AGREEMENT, OperationType.WRITE)
         pa_stats = metrics.protocol_statistics(Protocol.PRECEDENCE_AGREEMENT)
         assert pa_stats.write_backoff_probability == pytest.approx(0.5)
-
-    def test_restart_probability(self):
-        metrics = MetricsCollector()
-        for _ in range(4):
-            metrics.record_attempt(Protocol.TIMESTAMP_ORDERING)
-        metrics.record_restart(Protocol.TIMESTAMP_ORDERING, due_to_deadlock=False)
-        stats = metrics.protocol_statistics(Protocol.TIMESTAMP_ORDERING)
-        assert stats.restart_probability == pytest.approx(0.25)
 
     def test_lock_time_accumulators(self):
         metrics = MetricsCollector()
@@ -105,7 +86,7 @@ class TestProtocolStatistics:
 
 
 class TestThroughputPerCopy:
-    def test_read_write_throughput_per_copy(self):
+    def test_system_throughput_counts_grants(self):
         metrics = MetricsCollector()
         copy = CopyId(0, 0)
         metrics.record_arrival(Protocol.TWO_PHASE_LOCKING, 0.0)
@@ -113,8 +94,6 @@ class TestThroughputPerCopy:
         metrics.record_grant(copy, OperationType.READ)
         metrics.record_grant(copy, OperationType.WRITE)
         metrics.record_commit(outcome(1, commit=2.0))
-        assert metrics.read_throughput(copy) == pytest.approx(1.0)
-        assert metrics.write_throughput(copy) == pytest.approx(0.5)
         assert metrics.system_throughput() == pytest.approx(1.5)
 
     def test_read_fraction(self):

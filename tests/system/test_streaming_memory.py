@@ -45,7 +45,6 @@ at 500 → 3,000 transactions, ``in-doubt-storm`` reads 257 B retained and
 import gc
 import tracemalloc
 
-from repro.storage.store import ValueStore
 from repro.system.database import DistributedDatabase
 from repro.workload.generator import TransactionGenerator
 from repro.workload.scenarios import get_scenario
@@ -72,7 +71,7 @@ def _traced(name, transactions, arrival_rate):
     gc.collect()
     tracemalloc.start()
     try:
-        database = DistributedDatabase(system, value_store=ValueStore(history_limit=1))
+        database = DistributedDatabase(system)
         database.load_workload(specs, scenario.workload)
         result = database.run()
         gc.collect()

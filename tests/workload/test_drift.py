@@ -51,13 +51,6 @@ class TestDriftConfigValidation:
             make_workload(num_transactions=10, drift=drift)
         make_workload(num_transactions=40, drift=drift)  # 38/40 >= 0.95: fine
 
-    def test_onset_and_settled(self):
-        drift = DriftConfig(
-            segments=(DriftSegment(at=0.2, arrival_rate=5.0), DriftSegment(at=0.8))
-        )
-        assert drift.onset == 0.2
-        assert drift.settled == 0.8
-
 
 class TestDriftResolver:
     def test_piecewise_holds_then_jumps(self):

@@ -8,7 +8,6 @@ from repro.workload.scenarios import (
     all_scenarios,
     get_scenario,
     run_scenario,
-    scenario_names,
 )
 
 #: Scenarios that must exist for the CLI examples and DESIGN.md to hold.
@@ -31,7 +30,7 @@ FAULT_SCENARIOS = (
 
 class TestRegistry:
     def test_expected_scenarios_registered(self):
-        names = scenario_names()
+        names = [scenario.name for scenario in all_scenarios()]
         for name in EXPECTED_SCENARIOS:
             assert name in names
 
@@ -40,8 +39,8 @@ class TestRegistry:
             assert scenario.description
 
     def test_get_scenario_roundtrip(self):
-        for name in scenario_names():
-            assert get_scenario(name).name == name
+        for scenario in all_scenarios():
+            assert get_scenario(scenario.name).name == scenario.name
 
     def test_unknown_scenario_rejected_with_known_names(self):
         with pytest.raises(ConfigurationError, match="zipf-hotspot"):

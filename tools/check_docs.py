@@ -177,13 +177,13 @@ def check_cli_choices(errors: List[str]) -> None:
 def check_scenario_examples(errors: List[str]) -> None:
     sys.path.insert(0, str(ROOT / "src"))
     try:
-        from repro.workload.scenarios import scenario_names
+        from repro.workload.scenarios import all_scenarios
     except Exception as error:  # pragma: no cover - import environment problem
         errors.append(f"could not import the scenario registry: {error}")
         return
     finally:
         sys.path.pop(0)
-    known = set(scenario_names())
+    known = {scenario.name for scenario in all_scenarios()}
     for name in NARRATIVE_DOCS:
         path = ROOT / name
         if not path.exists():
