@@ -1,8 +1,15 @@
 """Deadlock cycle search and victim selection (``DeadlockDetector.resolve_packed``)."""
 
+import pytest
+
 from repro.common.ids import TransactionId
 from repro.common.protocol_names import Protocol
-from repro.core.deadlock import DeadlockDetector
+from repro.core.deadlock import (
+    DeadlockDetector,
+    _extract_cycle,
+    _find_cycle_masked,
+    pack_transaction,
+)
 
 from tests.conftest import packed_wait_for
 
@@ -12,6 +19,27 @@ T1, T2, T3, T4 = (TransactionId(0, i) for i in range(1, 5))
 
 def resolve(detector, edges, protocol_of):
     return detector.resolve_packed(*packed_wait_for(edges), protocol_of)
+
+
+def find_cycle(edges, removed=()):
+    adjacency, transaction_of = packed_wait_for(edges)
+    sorted_adjacency = {node: sorted(bucket) for node, bucket in adjacency.items()}
+    keys = _find_cycle_masked(
+        sorted(adjacency), sorted_adjacency, {pack_transaction(t) for t in removed}
+    )
+    return None if keys is None else tuple(transaction_of[key] for key in keys)
+
+
+class TestPackTransaction:
+    def test_packing_preserves_id_order(self):
+        ids = [TransactionId(site, seq) for site in (0, 1, 7) for seq in (0, 1, 2**20, 2**48 - 1)]
+        assert sorted(ids, key=pack_transaction) == sorted(ids)
+        assert len({pack_transaction(tid) for tid in ids}) == len(ids)
+
+    @pytest.mark.parametrize("seq", [-1, 2**48])
+    def test_rejects_a_seq_outside_48_bits(self, seq):
+        with pytest.raises(ValueError, match="outside packable range"):
+            pack_transaction(TransactionId(0, seq))
 
 
 class TestCycleSearch:
@@ -36,6 +64,25 @@ class TestCycleSearch:
         edges = [(T1, T2), (T3, T4), (T4, T3)]
         (cycle,) = resolve(DeadlockDetector(), edges, {}).cycles
         assert set(cycle) == {T3, T4}
+
+    def test_removed_node_breaks_the_cycle(self):
+        edges = [(T1, T2), (T2, T3), (T3, T1)]
+        assert set(find_cycle(edges)) == {T1, T2, T3}
+        assert find_cycle(edges, removed=[T2]) is None
+
+    def test_successors_are_visited_in_id_order(self):
+        # T1 closes a cycle through T2 and another through T3; the search
+        # follows T1's smaller successor first, so the T2 cycle comes first.
+        edges = [(T1, T3), (T1, T2), (T2, T1), (T3, T1)]
+        assert find_cycle(edges) == (T2, T1)
+        assert find_cycle(edges, removed=[T2]) == (T3, T1)
+
+    def test_extracted_cycle_follows_the_wait_edges(self):
+        # DFS tree a -> b -> c, back edge c -> a.
+        cycle = _extract_cycle("c", "a", {"a": None, "b": "a", "c": "b"})
+        assert sorted(cycle) == ["a", "b", "c"]
+        edges = {("a", "b"), ("b", "c"), ("c", "a")}
+        assert all((cycle[i], cycle[(i + 1) % 3]) in edges for i in range(3))
 
 
 class TestDeadlockDetector:
@@ -86,6 +133,13 @@ class TestDeadlockDetector:
         victims = set(resolution.victims)
         remaining = [edge for edge in edges if not victims.intersection(edge)]
         assert not resolve(detector, remaining, protocols).deadlock_found
+
+    def test_victims_are_chosen_in_search_order(self):
+        detector = DeadlockDetector()
+        edges = [(T1, T3), (T1, T2), (T2, T1), (T3, T1)]
+        resolution = resolve(detector, edges, {})
+        assert resolution.cycles == [(T2, T1), (T3, T1)]
+        assert resolution.victims == [T2, T3]
 
     def test_unknown_protocol_defaults_to_2pl_candidate(self):
         detector = DeadlockDetector()

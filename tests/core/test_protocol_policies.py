@@ -143,6 +143,10 @@ class TestRegistry:
         policies = default_policies()
         assert set(policies) == set(Protocol)
 
+    def test_default_policies_are_keyed_by_their_protocol(self):
+        for protocol, policy in default_policies().items():
+            assert policy.protocol is protocol
+
     def test_register_duplicate_requires_replace(self):
         with pytest.raises(UnknownProtocolError):
             register_policy(TwoPhaseLockingPolicy())

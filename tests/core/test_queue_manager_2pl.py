@@ -148,6 +148,43 @@ class TestWaitEdges:
         queue_manager.submit(twopl_request(2, "w"), now=2.0)
         assert wait_edges(queue_manager) == [(TransactionId(0, 2), TransactionId(0, 1))]
 
+    def test_compatible_readers_do_not_wait(self, queue_manager):
+        queue_manager.submit(twopl_request(1, "r"), now=1.0)
+        queue_manager.submit(twopl_request(2, "r"), now=2.0)
+        assert wait_edges(queue_manager) == []
+
+    def test_writer_waits_for_every_reader(self, queue_manager):
+        queue_manager.submit(twopl_request(1, "r"), now=1.0)
+        queue_manager.submit(twopl_request(2, "r"), now=2.0)
+        queue_manager.submit(twopl_request(3, "w"), now=3.0)
+        assert wait_edges(queue_manager) == [
+            (TransactionId(0, 3), TransactionId(0, 1)),
+            (TransactionId(0, 3), TransactionId(0, 2)),
+        ]
+
+    def test_every_holder_is_a_node_of_the_adjacency(self, queue_manager):
+        # The cycle search indexes the adjacency by every successor it meets,
+        # so a holder that waits for nobody still needs its (empty) bucket.
+        queue_manager.submit(twopl_request(1, "w"), now=1.0)
+        queue_manager.submit(twopl_request(2, "w"), now=2.0)
+        adjacency, transaction_of = {}, {}
+        queue_manager.collect_wait_edges(adjacency, transaction_of)
+        holders = set().union(*adjacency.values())
+        assert holders and holders <= set(adjacency) == set(transaction_of)
+        assert all(not adjacency[holder] for holder in holders)
+
+    def test_edges_of_several_copies_merge_per_waiter(self, execution_log):
+        first = QueueManager(CopyId(0, 0), execution_log)
+        second = QueueManager(CopyId(1, 0), execution_log)
+        first.submit(twopl_request(1, "w"), now=1.0)
+        second.submit(make_request(site=0, seq=2, item=1, op="w"), now=1.5)
+        first.submit(twopl_request(3, "w"), now=2.0)
+        second.submit(make_request(site=0, seq=3, item=1, index=1, op="w"), now=2.5)
+        assert wait_edges(first, second) == [
+            (TransactionId(0, 3), TransactionId(0, 1)),
+            (TransactionId(0, 3), TransactionId(0, 2)),
+        ]
+
 
 class TestStatistics:
     def test_grant_counter(self, queue_manager):

@@ -25,10 +25,35 @@ class TestValueStore:
         store.write(COPY, 2, T2, time=2.0)
         assert store.read(COPY) == 2
 
-    def test_initialize_sets_value(self):
+    def test_initialize_sets_value_without_writer(self):
         store = ValueStore()
         store.initialize(COPY, 7)
         assert store.read(COPY) == 7
+        assert store.write_count(COPY) == 0
+
+    def test_write_count_counts_committed_writes_per_copy(self):
+        store = ValueStore()
+        other = CopyId(0, 1)
+        store.initialize(COPY, 0)
+        store.write(COPY, 1, T1, time=1.0)
+        store.write(COPY, 2, T2, time=2.0)
+        assert (store.write_count(COPY), store.write_count(other)) == (2, 0)
+
+    def test_observers_see_writes_and_initialisations(self):
+        seen = []
+
+        class Observer:
+            def value_written(self, copy, value):
+                seen.append(("written", copy, value))
+
+            def value_initialized(self, copy, value):
+                seen.append(("initialized", copy, value))
+
+        store = ValueStore()
+        store.attach_write_observer(Observer())
+        store.initialize(COPY, 5)
+        store.write(COPY, 6, T1, time=1.0)
+        assert seen == [("initialized", COPY, 5), ("written", COPY, 6)]
 
     def test_snapshot_contains_only_touched_copies(self):
         store = ValueStore()

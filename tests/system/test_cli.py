@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _parse_cluster, build_parser, main
+from repro.common.errors import ConfigurationError
 
 
 class TestParser:
@@ -378,3 +379,26 @@ class TestClusterAddresses:
     def test_drive_rejects_a_port_out_of_range(self, capsys):
         assert main(["drive", "--cluster", self.BAD.replace(":99999", ":0")]) == 2
         assert "'127.0.0.1:0': port must be in 1-65535" in capsys.readouterr().err
+
+    def test_parses_sites_in_order_with_int_ports(self):
+        assert _parse_cluster("127.0.0.1:7000, localhost:7001") == {
+            0: ("127.0.0.1", 7000),
+            1: ("localhost", 7001),
+        }
+
+    def test_host_may_contain_colons(self):
+        assert _parse_cluster("::1:7000") == {0: ("::1", 7000)}
+
+    @pytest.mark.parametrize("port", [1, 65535])
+    def test_port_range_ends_are_accepted(self, port):
+        assert _parse_cluster(f"h:{port}") == {0: ("h", port)}
+
+    @pytest.mark.parametrize("port", ["0", "65536", "99999"])
+    def test_port_outside_range_is_rejected(self, port):
+        with pytest.raises(ConfigurationError, match="port must be in 1-65535"):
+            _parse_cluster(f"h:7000,h:{port}")
+
+    @pytest.mark.parametrize("part", ["h", "h:", ":7000", "h:70a0", "h:-1", ""])
+    def test_malformed_address_is_rejected(self, part):
+        with pytest.raises(ConfigurationError, match="malformed cluster address"):
+            _parse_cluster(f"h:7000,{part}")
