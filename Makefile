@@ -32,11 +32,10 @@ endif
 memory-gate:
 	$(PY) -m pytest tests/system/test_streaming_memory.py -q
 
-## store micros and the E10-E12 experiments as plain tests (no timing) — fast
-## sanity check
+## store micros and every registry experiment (E1-E12) at bench size, with
+## each entry's checks, as plain tests (no timing; ~30 s)
 bench-smoke:
-	$(PY) -m pytest benchmarks/bench_store.py benchmarks/bench_e10_availability.py \
-		benchmarks/bench_e11_recovery.py benchmarks/bench_e12_sim_live.py \
+	$(PY) -m pytest benchmarks/bench_store.py benchmarks/bench_experiments.py \
 		-q --benchmark-disable
 
 ## full perf ledger (five pinned workloads, end to end + per layer, ~3 min):

@@ -1,13 +1,11 @@
 """Shared configuration and helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment from DESIGN.md's index (E1-E9).
-Besides the timing numbers collected by pytest-benchmark, each benchmark
-renders the experiment's result table and stores it under
-``benchmarks/results/`` so the rows can be compared with the paper's claims
-(see DESIGN.md).  The workload sizes here are intentionally small — the
+``bench_experiments.py`` regenerates every experiment of DESIGN.md's index
+(E1-E12) at its registry entry's bench size, renders the result table and
+stores it under ``benchmarks/results/`` so the rows can be compared with the
+paper's claims (see DESIGN.md).  The sizes are intentionally small — the
 goal is the qualitative shape (who wins, where the crossover lies), not long
-simulation campaigns; the analysis functions accept larger parameters for
-full-scale runs.
+simulation campaigns.
 """
 
 from __future__ import annotations
@@ -16,8 +14,11 @@ import pathlib
 
 import pytest
 
-from repro.analysis.tables import rows_to_table
-from repro.common.config import SystemConfig, WorkloadConfig
+# The entries' check functions assert in the registry module; rewrite them so
+# a failing claim reports its operands.
+pytest.register_assert_rewrite("repro.analysis.experiments")
+
+from repro.analysis.tables import rows_to_table  # noqa: E402 - after the rewrite hook
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -26,36 +27,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def bench_system() -> SystemConfig:
-    """System configuration shared by the experiment benchmarks."""
-    return SystemConfig(
-        num_sites=3,
-        num_items=32,
-        replication_factor=1,
-        io_time=0.002,
-        deadlock_detection_period=0.2,
-        restart_delay=0.02,
-        seed=17,
-    )
-
-
-@pytest.fixture(scope="session")
-def bench_workload() -> WorkloadConfig:
-    """Baseline workload shared by the experiment benchmarks."""
-    return WorkloadConfig(
-        arrival_rate=20.0,
-        num_transactions=150,
-        min_size=2,
-        max_size=6,
-        read_fraction=0.6,
-        compute_time=0.003,
-        hotspot_probability=0.25,
-        hotspot_fraction=0.15,
-        seed=23,
-    )
 
 
 def save_table(results_dir: pathlib.Path, name: str, rows, columns=()) -> str:

@@ -3,7 +3,7 @@
 Every ``repro`` package re-exports the main names of its submodules, so that
 ``from repro.system import run_simulation`` works.  Importing all of them
 eagerly would make ``import repro.anything`` load the whole program — the
-selector, the experiment drivers, every commit protocol — even for a run
+selector, the experiment registry, every commit protocol — even for a run
 that uses a fraction of it, and each short simulation run pays for that
 import in a fresh interpreter.  A package instead hands its table of
 exports to :func:`lazy_exports` and installs the returned pair as its module

@@ -243,13 +243,9 @@ class ReplicatedResult:
     metrics: Dict[str, AggregatedMetric]
     all_serializable: bool
     all_committed: bool
-    #: Raw per-replication summaries in seed order (windowed series included);
-    #: populated by :func:`run_replicated` for time-series consumers.
+    #: Raw per-replication summaries in seed order (windowed series included),
+    #: for time-series consumers.
     summaries: Tuple[Dict[str, object], ...] = ()
-
-    def metric(self, name: str) -> AggregatedMetric:
-        """The aggregated statistics of one named metric."""
-        return self.metrics[name]
 
     def as_row(self) -> Dict[str, object]:
         """Flat row for table rendering: ``metric`` and ``metric_hw`` columns."""
@@ -318,63 +314,5 @@ def aggregate_replications(
         metrics=metrics,
         all_serializable=all_serializable,
         all_committed=all_committed,
+        summaries=tuple(summaries),
     )
-
-
-def _default_label(
-    protocol: Optional[Union[str, Protocol]],
-    dynamic_selection: bool,
-    selection_mode: Optional[str] = None,
-) -> str:
-    if dynamic_selection:
-        if selection_mode is not None and selection_mode != "cumulative":
-            return selection_mode
-        return "dynamic"
-    if protocol is not None:
-        return str(Protocol.from_name(protocol))
-    return "mixed"
-
-
-def run_replicated(
-    system: SystemConfig,
-    workload: WorkloadConfig,
-    *,
-    protocol: Optional[Union[str, Protocol]] = None,
-    dynamic_selection: bool = False,
-    selection_mode: Optional[str] = None,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    label: Optional[str] = None,
-    confidence_z: float = 1.96,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-) -> ReplicatedResult:
-    """Run the same configuration once per seed and aggregate the results.
-
-    Each replication re-seeds both the system (network delays) and the
-    workload (arrivals, shapes) so the samples are independent.  ``jobs``
-    fans the replications across worker processes; the aggregates are
-    bit-identical to ``jobs=1`` because summaries are merged in seed order.
-    ``store``/``force`` attach a result store exactly as in :func:`run_tasks`.
-    """
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    tasks = replication_tasks(
-        system,
-        workload,
-        protocol=protocol,
-        dynamic_selection=dynamic_selection,
-        selection_mode=selection_mode,
-        seeds=seeds,
-    )
-    summaries = run_tasks(tasks, jobs=jobs, store=store, force=force)
-    if label is None:
-        label = _default_label(protocol, dynamic_selection, selection_mode)
-    result = aggregate_replications(
-        label,
-        summaries,
-        [task.workload.num_transactions for task in tasks],
-        confidence_z=confidence_z,
-    )
-    result.summaries = tuple(summaries)
-    return result

@@ -8,9 +8,10 @@ Four subcommands are provided::
     python -m repro.cli store    table runs.jsonl
 
 ``run`` executes a single workload under one protocol (or the dynamic
-selector) and prints the result summary; ``sweep`` regenerates one of the
-experiments of DESIGN.md's index (E1-E12) with configurable parameters and
-prints the result table; ``scenario`` runs a named end-to-end workload
+selector) and prints the result summary; ``sweep`` runs one entry of the
+experiment registry (:mod:`repro.analysis.experiments`, DESIGN.md's index
+E1-E12) with configurable parameters and prints the result table, naming
+on stderr any flag the experiment does not read; ``scenario`` runs a named end-to-end workload
 profile from the registry in :mod:`repro.workload.scenarios` (``--list``
 shows them all; ``--windows PATH`` additionally writes the per-window
 time series of every replication); ``store`` inspects a result store
@@ -31,8 +32,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.analysis.experiments import (
+    Experiment,
+    all_experiments,
+    get_experiment,
+    run_experiment,
+)
 from repro.analysis.tables import (
     STORE_COLUMNS,
     kv_table,
@@ -45,22 +52,43 @@ from repro.common.config import CommitConfig, SystemConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.store import ResultStore
 from repro.system.runner import run_simulation
-from repro.workload.scenarios import (
-    DRIFT_SCENARIOS,
-    FAULT_SCENARIOS,
-    RECOVERY_SCENARIOS,
-    all_scenarios,
-    get_scenario,
-)
-
-#: Experiment ids accepted by ``sweep``; must match DESIGN.md's index.
-EXPERIMENT_IDS = (
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
-)
+from repro.workload.scenarios import all_scenarios, get_scenario
 
 #: Default transaction count of ``run``/``sweep`` when ``--transactions``
-#: is not given (E9 instead falls back to each scenario's own size).
+#: is not given (E9-E12 instead fall back to each scenario's own size).
 DEFAULT_TRANSACTIONS = 300
+
+#: What each ``sweep`` flag feeds: registry parameters, ``system.<field>`` /
+#: ``workload.<field>`` of the configs built from the flags, or ``tasks``
+#: (the runner of simulation tasks).  An experiment that reads none of a
+#: flag's targets ignores it (see :meth:`Experiment.reads`).
+SWEEP_FLAG_TARGETS = {
+    "sites": ("system.num_sites",),
+    "items": ("system.num_items",),
+    "replication": ("system.replication_factor",),
+    "seed": ("system.seed", "workload.seed"),
+    "detection_period": ("system.deadlock_detection_period",),
+    "restart_delay": ("system.restart_delay",),
+    "no_semi_locks": ("system.semi_locks_enabled",),
+    "switch_after": ("system.protocol_switch_threshold",),
+    "commit": ("system.commit", "commit"),
+    "audit": ("system.audit",),
+    "arrival_rate": ("workload.arrival_rate", "arrival_rate"),
+    "transactions": ("workload.num_transactions", "transactions"),
+    "min_size": ("workload.min_size",),
+    "max_size": ("workload.max_size",),
+    "read_fraction": ("workload.read_fraction",),
+    "hotspot": ("workload.hotspot_probability",),
+    "access_pattern": ("workload.access_pattern",),
+    "arrival_process": ("workload.arrival_process",),
+    "rates": ("rates",),
+    "sizes": ("sizes",),
+    "scenarios": ("scenarios",),
+    "jobs": ("tasks",),
+    "store": ("tasks",),
+    "resume": ("tasks",),
+    "force": ("tasks",),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,6 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+
+    experiments = all_experiments()
+
+    def reading(param: str) -> str:
+        return "/".join(e.id for e in experiments if param in e.params)
 
     run_parser = subparsers.add_parser("run", help="run one workload and print its summary")
     _add_system_arguments(run_parser)
@@ -90,35 +123,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arguments(sweep_parser)
     sweep_parser.add_argument(
         "--experiment",
-        choices=list(EXPERIMENT_IDS),
+        choices=[experiment.id for experiment in experiments],
         required=True,
-        help="experiment id from the DESIGN.md index (E1-E12)",
+        help=f"experiment id from the DESIGN.md index (E1-E{len(experiments)})",
     )
     sweep_parser.add_argument(
         "--rates",
         type=float,
         nargs="+",
         default=[5.0, 20.0, 60.0],
-        help="arrival rates for e1/e4/e5 (transactions per time unit)",
+        help=f"arrival rates for {reading('rates')} (transactions per time unit)",
     )
     sweep_parser.add_argument(
         "--sizes",
         type=int,
         nargs="+",
         default=[1, 4, 8],
-        help="transaction sizes for e2",
+        help=f"transaction sizes for {reading('sizes')}",
     )
     sweep_parser.add_argument(
         "--scenarios",
         nargs="+",
         default=None,
         metavar="NAME",
-        help=(
-            "scenarios for e9/e10/e11 (defaults: the registered drift suite "
-            f"{', '.join(DRIFT_SCENARIOS)} for e9; the fault suite "
-            f"{', '.join(FAULT_SCENARIOS)} for e10; the recovery suite "
-            f"{', '.join(RECOVERY_SCENARIOS)} for e11)"
-        ),
+        help=f"scenarios for {reading('scenarios')} (defaults: "
+        + "; ".join(
+            f"{e.id} {', '.join(e.params['scenarios'])}"
+            for e in experiments
+            if "scenarios" in e.params
+        )
+        + ")",
     )
     _add_jobs_argument(sweep_parser)
     _add_store_arguments(sweep_parser)
@@ -343,9 +377,9 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--commit",
         choices=list(commit_protocol_names()),
-        default="one-phase",
-        help="atomic-commit layer (one-phase: the paper's implicit commit; "
-        "two-phase: presumed-nothing 2PC)",
+        default=None,
+        help="atomic-commit layer (default one-phase: the paper's implicit commit; "
+        "two-phase: presumed-nothing 2PC; e12 defaults to two-phase)",
     )
     parser.add_argument(
         "--audit",
@@ -363,7 +397,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=f"number of transactions (default {DEFAULT_TRANSACTIONS}; "
-        "e9 defaults to each scenario's own size)",
+        "e9-e12 default to each scenario's own size)",
     )
     parser.add_argument("--min-size", type=int, default=2, help="minimum transaction size")
     parser.add_argument("--max-size", type=int, default=6, help="maximum transaction size")
@@ -394,7 +428,7 @@ def _system_from_args(args: argparse.Namespace) -> SystemConfig:
         restart_delay=args.restart_delay,
         semi_locks_enabled=not args.no_semi_locks,
         protocol_switch_threshold=args.switch_after,
-        commit=CommitConfig(protocol=args.commit),
+        commit=CommitConfig(protocol=args.commit or "one-phase"),
         audit=args.audit,
         seed=args.seed,
     )
@@ -436,133 +470,25 @@ def _report_store(store: Optional[ResultStore]) -> None:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import (
-        availability_experiment,
-        correctness_audit,
-        drift_adaptation_experiment,
-        dynamic_vs_static,
-        protocol_switching_ablation,
-        recovery_experiment,
-        semilock_ablation,
-        sim_live_equivalence,
-        single_item_write_experiment,
-        stl_cost_experiment,
-        sweep_arrival_rate,
-        sweep_transaction_size,
-    )
-
-    system = _system_from_args(args)
-    workload = _workload_from_args(args)
-    jobs = args.jobs
+    experiment = get_experiment(args.experiment)
+    ignored = _ignored_flags(args, experiment)
+    if ignored:
+        print(f"note: {experiment.id} ignores {', '.join(ignored)}", file=sys.stderr)
+    params = {
+        "system": _system_from_args(args),
+        "workload": _workload_from_args(args),
+        "rates": args.rates,
+        "sizes": args.sizes,
+        "arrival_rate": args.arrival_rate,
+    }
+    # Unset, these fall back to the experiment's own defaults.
+    for name in ("transactions", "scenarios", "commit"):
+        if getattr(args, name) is not None:
+            params[name] = getattr(args, name)
     store = _open_store(args)
-    force = args.force
-    transactions = args.transactions if args.transactions is not None else DEFAULT_TRANSACTIONS
-    if args.experiment == "e1":
-        rows = sweep_arrival_rate(
-            args.rates, system=system, workload=workload, jobs=jobs, store=store, force=force
-        )
-    elif args.experiment == "e2":
-        rows = sweep_transaction_size(
-            args.sizes, system=system, workload=workload, jobs=jobs, store=store, force=force
-        )
-    elif args.experiment == "e3":
-        rows = single_item_write_experiment(
-            arrival_rate=args.arrival_rate,
-            num_transactions=transactions,
-            system=system,
-            jobs=jobs,
-            store=store,
-            force=force,
-        )
-    elif args.experiment == "e4":
-        rows = correctness_audit(
-            arrival_rates=args.rates,
-            num_transactions=transactions,
-            system=system,
-            workload=workload,
-            jobs=jobs,
-            store=store,
-            force=force,
-        )
-    elif args.experiment == "e5":
-        rows = dynamic_vs_static(
-            args.rates, system=system, workload=workload, jobs=jobs, store=store, force=force
-        )
-    elif args.experiment == "e6":
-        rows = semilock_ablation(
-            arrival_rate=args.arrival_rate,
-            num_transactions=transactions,
-            system=system,
-            workload=workload,
-            jobs=jobs,
-            store=store,
-            force=force,
-        )
-    elif args.experiment == "e7":
-        # E7 measures the STL' evaluator itself, not a simulation run; the
-        # system/workload/--jobs/--store flags do not apply to it.
-        print(
-            "note: e7 evaluates the STL' model directly; "
-            "system/workload/--jobs/--store flags are ignored",
-            file=sys.stderr,
-        )
-        rows = stl_cost_experiment()
-    elif args.experiment == "e9":
-        # E9 runs the registered drift scenarios; the generic system /
-        # workload flags do not apply (each scenario carries its own).
-        rows = drift_adaptation_experiment(
-            tuple(args.scenarios) if args.scenarios else DRIFT_SCENARIOS,
-            transactions=args.transactions,
-            jobs=jobs,
-            store=store,
-            force=force,
-        )
-    elif args.experiment == "e10":
-        # E10 runs the registered fault scenarios under both commit layers;
-        # like e9, each scenario carries its own system and workload.
-        rows = availability_experiment(
-            tuple(args.scenarios) if args.scenarios else FAULT_SCENARIOS,
-            transactions=args.transactions,
-            jobs=jobs,
-            store=store,
-            force=force,
-        )
-    elif args.experiment == "e11":
-        # E11 races the 2PC family (with and without the termination
-        # protocol) across the coordinator-recovery fault scenarios; each
-        # scenario carries its own system and workload.
-        rows = recovery_experiment(
-            tuple(args.scenarios) if args.scenarios else RECOVERY_SCENARIOS,
-            transactions=args.transactions,
-            jobs=jobs,
-            store=store,
-            force=force,
-        )
-    elif args.experiment == "e12":
-        # E12 replays one scenario through the simulator and through an
-        # in-process live TCP cluster; the run is on the wall clock, so
-        # the store/--jobs machinery does not apply.
-        print(
-            "note: e12 boots a live localhost cluster; "
-            "system/workload/--jobs/--store flags are ignored "
-            "(use --scenarios, --transactions, --commit)",
-            file=sys.stderr,
-        )
-        rows = sim_live_equivalence(
-            args.scenarios[0] if args.scenarios else "uniform-baseline",
-            transactions=args.transactions,
-            commit=args.commit if args.commit != "one-phase" else "two-phase",
-        )
-    else:
-        rows = protocol_switching_ablation(
-            arrival_rate=args.arrival_rate,
-            num_transactions=transactions,
-            system=system,
-            workload=workload,
-            jobs=jobs,
-            store=store,
-            force=force,
-        )
+    rows = run_experiment(
+        experiment.id, params, jobs=args.jobs, store=store, force=args.force
+    )
     print(rows_to_table(rows))
     _report_store(store)
     all_serializable = all(row.get("serializable", True) for row in rows)
@@ -571,6 +497,21 @@ def _command_sweep(args: argparse.Namespace) -> int:
         bool(row["equivalent"]) for row in rows if row.get("mode") == "equal"
     )
     return 0 if all_serializable and all_equivalent else 1
+
+
+def _ignored_flags(args: argparse.Namespace, experiment: Experiment) -> List[str]:
+    """The sweep flags set away from their defaults that ``experiment`` does not read."""
+    defaults = vars(build_parser().parse_args(["sweep", "--experiment", experiment.id]))
+    ignored = []
+    for dest, targets in SWEEP_FLAG_TARGETS.items():
+        if getattr(args, dest) == defaults[dest]:
+            continue
+        if not any(
+            experiment.points is not None if target == "tasks" else experiment.reads(target)
+            for target in targets
+        ):
+            ignored.append("--" + dest.replace("_", "-"))
+    return ignored
 
 
 def _command_scenario(args: argparse.Namespace) -> int:

@@ -34,7 +34,6 @@ __all__ = [
     "generate_workload",
     "get_scenario",
     "register_scenario",
-    "run_scenario",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -62,7 +61,6 @@ __getattr__, __dir__ = lazy_exports(
             "all_scenarios",
             "get_scenario",
             "register_scenario",
-            "run_scenario",
-                ),
+        ),
     },
 )

@@ -89,32 +89,38 @@ class Scenario:
         *,
         seeds: Sequence[int] = (0, 1, 2),
         jobs: int = 1,
-        confidence_z: float = 1.96,
         store: Optional["ResultStore"] = None,
         force: bool = False,
     ) -> "ReplicatedResult":
         """Replicated runs of this scenario, aggregated with confidence intervals.
 
-        ``store``/``force`` attach a result store exactly as in
-        :func:`repro.analysis.replications.run_tasks`: cached replications
-        are reused, fresh ones are persisted as they finish.
+        Each seed re-seeds both the system and the workload, so the samples
+        are independent.  ``jobs`` and ``store``/``force`` apply exactly as
+        in :func:`repro.analysis.replications.run_tasks`: the aggregates are
+        bit-identical to a serial run, cached replications are reused and
+        fresh ones are persisted as they finish.
         """
         # Imported lazily: repro.analysis depends on repro.system which
         # imports this package's generator at load time.
-        from repro.analysis.replications import run_replicated
+        from repro.analysis.replications import (
+            aggregate_replications,
+            replication_tasks,
+            run_tasks,
+        )
 
-        return run_replicated(
+        if not seeds:
+            raise ValueError("at least one seed is required")
+        tasks = replication_tasks(
             self.system,
             self.workload,
             protocol=self.protocol,
             dynamic_selection=self.dynamic_selection,
             selection_mode=self.selection_mode,
             seeds=seeds,
-            jobs=jobs,
-            label=self.name,
-            confidence_z=confidence_z,
-            store=store,
-            force=force,
+        )
+        summaries = run_tasks(tasks, jobs=jobs, store=store, force=force)
+        return aggregate_replications(
+            self.name, summaries, [task.workload.num_transactions for task in tasks]
         )
 
 
@@ -141,23 +147,6 @@ def get_scenario(name: str) -> Scenario:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "(none)"
         raise ConfigurationError(f"unknown scenario {name!r}; known scenarios: {known}") from None
-
-
-def run_scenario(
-    name: str,
-    *,
-    seeds: Sequence[int] = (0, 1, 2),
-    jobs: int = 1,
-    transactions: Optional[int] = None,
-    arrival_rate: Optional[float] = None,
-    store: Optional["ResultStore"] = None,
-    force: bool = False,
-) -> "ReplicatedResult":
-    """Look up ``name``, apply the overrides and run it replicated."""
-    scenario = get_scenario(name).configured(
-        transactions=transactions, arrival_rate=arrival_rate
-    )
-    return scenario.run(seeds=seeds, jobs=jobs, store=store, force=force)
 
 
 # --------------------------------------------------------------------------- #

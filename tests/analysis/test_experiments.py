@@ -1,73 +1,82 @@
-"""Experiment harness functions (small parameterisations to stay fast)."""
+"""The experiment registry and the rows its entries produce (small sizes)."""
 
 import pytest
 
-from repro.analysis.experiments import (
-    availability_experiment,
-    correctness_audit,
-    drift_adaptation_experiment,
-    dynamic_vs_static,
-    semilock_ablation,
-    single_item_write_experiment,
-    sweep_arrival_rate,
-    sweep_transaction_size,
-)
+from repro.analysis.experiments import all_experiments, get_experiment, run_experiment
 from repro.common.config import SystemConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
-from repro.store import ResultStore
-from repro.common.protocol_names import Protocol
 
 
 @pytest.fixture(scope="module")
-def tiny_system():
-    return SystemConfig(num_sites=2, num_items=16, deadlock_detection_period=0.1,
-                        restart_delay=0.02, seed=3)
+def tiny():
+    return {
+        "system": SystemConfig(
+            num_sites=2, num_items=16, deadlock_detection_period=0.1, restart_delay=0.02, seed=3
+        ),
+        "workload": WorkloadConfig(
+            arrival_rate=20.0, num_transactions=30, min_size=1, max_size=4,
+            compute_time=0.002, seed=4,
+        ),
+    }
 
 
-@pytest.fixture(scope="module")
-def tiny_workload():
-    return WorkloadConfig(arrival_rate=20.0, num_transactions=30, min_size=1, max_size=4,
-                          compute_time=0.002, seed=4)
+class TestRegistry:
+    def test_ids_follow_the_index(self):
+        assert [experiment.id for experiment in all_experiments()] == [
+            f"e{number}" for number in range(1, 13)
+        ]
+
+    def test_unknown_id_fails_loudly(self):
+        with pytest.raises(ConfigurationError, match="known experiments"):
+            get_experiment("e99")
+
+    @pytest.mark.parametrize("experiment", all_experiments(), ids=lambda e: e.id)
+    def test_entry_is_well_formed(self, experiment):
+        # Either a grid with a row function, or a plain run; never both.
+        assert (experiment.points is None) == (experiment.row is None)
+        assert (experiment.points is None) != (experiment.run is None)
+        # The bench only sizes parameters the experiment reads.
+        assert set(experiment.bench) <= set(experiment.params)
+        for field in experiment.overrides:
+            assert field.split(".")[0] in experiment.params
+
+    def test_overridden_fields_are_not_read(self):
+        e1 = get_experiment("e1")
+        assert e1.reads("rates") and e1.reads("workload.min_size")
+        assert not e1.reads("workload.arrival_rate")
+        assert not e1.reads("scenarios")
+
+    def test_parameters_it_does_not_read_are_ignored(self, tiny):
+        rows = run_experiment("e3", {**tiny, "transactions": 10, "rates": (1.0,)})
+        assert [row["committed"] for row in rows] == [10, 10, 10]
 
 
 class TestSweeps:
-    def test_arrival_rate_sweep_row_structure(self, tiny_system, tiny_workload):
-        rows = sweep_arrival_rate([10.0, 30.0], system=tiny_system, workload=tiny_workload)
+    def test_arrival_rate_sweep_row_structure(self, tiny):
+        rows = run_experiment("e1", {**tiny, "rates": (10.0, 30.0)})
         assert len(rows) == 2 * 3
         for row in rows:
             assert row["serializable"] is True
-            assert row["committed"] == tiny_workload.num_transactions
+            assert row["committed"] == tiny["workload"].num_transactions
             assert row["protocol"] in {"2PL", "T/O", "PA"}
             assert row["arrival_rate"] in (10.0, 30.0)
 
-    def test_arrival_rate_sweep_with_dynamic_row(self, tiny_system, tiny_workload):
-        rows = sweep_arrival_rate(
-            [15.0], system=tiny_system, workload=tiny_workload, include_dynamic=True
-        )
+    def test_arrival_rate_sweep_with_dynamic_row(self, tiny):
+        rows = run_experiment("e5", {**tiny, "rates": (15.0,)})
         protocols = {row["protocol"] for row in rows}
         assert protocols == {"2PL", "T/O", "PA", "dynamic"}
 
-    def test_transaction_size_sweep(self, tiny_system, tiny_workload):
-        rows = sweep_transaction_size([1, 3], system=tiny_system, workload=tiny_workload)
+    def test_transaction_size_sweep(self, tiny):
+        rows = run_experiment("e2", {**tiny, "sizes": (1, 3)})
         assert len(rows) == 2 * 3
         assert {row["transaction_size"] for row in rows} == {1, 3}
         assert all(row["serializable"] for row in rows)
 
-    def test_restricted_protocol_list(self, tiny_system, tiny_workload):
-        rows = sweep_arrival_rate(
-            [10.0],
-            protocols=[Protocol.PRECEDENCE_AGREEMENT],
-            system=tiny_system,
-            workload=tiny_workload,
-        )
-        assert len(rows) == 1
-        assert rows[0]["protocol"] == "PA"
-
 
 class TestScenarioExperiments:
-    def test_single_item_write_experiment(self, tiny_system):
-        rows = single_item_write_experiment(
-            arrival_rate=20.0, num_transactions=25, system=tiny_system
+    def test_single_item_write_experiment(self, tiny):
+        rows = run_experiment(
+            "e3", {"system": tiny["system"], "arrival_rate": 20.0, "transactions": 25}
         )
         assert len(rows) == 3
         by_protocol = {row["protocol"]: row for row in rows}
@@ -75,10 +84,8 @@ class TestScenarioExperiments:
         assert by_protocol["2PL"]["deadlock_aborts"] == 0
         assert all(row["serializable"] for row in rows)
 
-    def test_correctness_audit_upholds_theorems(self, tiny_system, tiny_workload):
-        rows = correctness_audit(
-            arrival_rates=[25.0], num_transactions=25, system=tiny_system, workload=tiny_workload
-        )
+    def test_correctness_audit_upholds_theorems(self, tiny):
+        rows = run_experiment("e4", {**tiny, "rates": (25.0,)})
         assert len(rows) == 3
         for row in rows:
             assert row["serializable"] is True
@@ -86,26 +93,26 @@ class TestScenarioExperiments:
             assert row["to_deadlock_aborts"] == 0
             assert row["non_2pl_deadlock_victims"] == 0
 
-    def test_dynamic_vs_static_contains_dynamic_rows(self, tiny_system, tiny_workload):
-        rows = dynamic_vs_static([20.0], system=tiny_system, workload=tiny_workload)
-        assert any(row["protocol"] == "dynamic" for row in rows)
-
-    def test_semilock_ablation_reports_both_modes(self, tiny_system, tiny_workload):
-        rows = semilock_ablation(
-            arrival_rate=25.0, num_transactions=25, system=tiny_system, workload=tiny_workload
-        )
+    def test_semilock_ablation_reports_both_modes(self, tiny):
+        rows = run_experiment("e6", tiny)
         assert {row["enforcement"] for row in rows} == {"semi-locks", "full locking"}
         assert all(row["serializable"] for row in rows)
         assert all("to_mean_system_time" in row for row in rows)
 
+    def test_stl_cost_values_agree(self):
+        rows = run_experiment("e7", {"time_steps": (6, 8)})
+        assert [row["time_steps"] for row in rows] == [6, 8]
+        assert all(row["values_agree"] for row in rows)
+        assert rows[0]["naive_calls"] < rows[1]["naive_calls"]
+
 
 class TestDriftAdaptation:
-    """E9: the drift-scenario comparison driver."""
+    """E9: the drift-scenario comparison."""
 
     @pytest.fixture(scope="class")
     def e9_rows(self):
-        return drift_adaptation_experiment(
-            ("hotspot-migration",), transactions=60, seeds=(0,)
+        return run_experiment(
+            "e9", {"scenarios": ("hotspot-migration",), "transactions": 60, "seeds": (0,)}
         )
 
     def test_row_structure(self, e9_rows):
@@ -117,42 +124,27 @@ class TestDriftAdaptation:
             assert row["committed"] == 60
             assert row["post_drift_mean_system_time"] >= 0.0
 
-    def test_serial_and_parallel_rows_are_identical(self, e9_rows):
-        parallel = drift_adaptation_experiment(
-            ("hotspot-migration",), transactions=60, seeds=(0,), jobs=3
-        )
-        assert parallel == e9_rows
-
-    def test_store_resume_reproduces_the_rows(self, e9_rows, tmp_path):
-        store = ResultStore(tmp_path / "e9.jsonl")
-        first = drift_adaptation_experiment(
-            ("hotspot-migration",), transactions=60, seeds=(0,), store=store
-        )
-        warm = ResultStore(tmp_path / "e9.jsonl")
-        resumed = drift_adaptation_experiment(
-            ("hotspot-migration",), transactions=60, seeds=(0,), store=warm
-        )
-        assert first == e9_rows
-        assert resumed == e9_rows
-        assert warm.hits == 5 and warm.misses == 0
-
     def test_unknown_scenario_fails_loudly(self):
         with pytest.raises(ConfigurationError):
-            drift_adaptation_experiment(("no-such-scenario",), transactions=10, seeds=(0,))
+            run_experiment(
+                "e9", {"scenarios": ("no-such-scenario",), "transactions": 10, "seeds": (0,)}
+            )
 
-    def test_summaries_carry_drift_boundaries(self):
-        rows = drift_adaptation_experiment(
-            ("mix-flip",), modes=("adaptive",), protocols=(), transactions=40, seeds=(0,)
+    def test_seed_folds_count_every_replication(self):
+        rows = run_experiment(
+            "e9", {"scenarios": ("mix-flip",), "transactions": 20, "seeds": (0, 1)}
         )
-        assert [row["policy"] for row in rows] == ["adaptive"]
+        assert all(row["committed"] == 40 for row in rows)
 
 
 class TestAvailability:
-    """E10: the fault-scenario commit-layer comparison driver."""
+    """E10: the fault-scenario commit-layer comparison."""
 
     @pytest.fixture(scope="class")
     def e10_rows(self):
-        return availability_experiment(("site-blackout",), transactions=80, seeds=(0,))
+        return run_experiment(
+            "e10", {"scenarios": ("site-blackout",), "transactions": 80, "seeds": (0,)}
+        )
 
     def test_row_structure(self, e10_rows):
         combos = [(row["commit"], row["protocol"]) for row in e10_rows]
@@ -182,35 +174,3 @@ class TestAvailability:
                     or not row["serializable"]
                 )
                 assert row["commit_messages"] == 0
-
-    def test_serial_and_parallel_rows_are_identical(self, e10_rows):
-        parallel = availability_experiment(
-            ("site-blackout",), transactions=80, seeds=(0,), jobs=3
-        )
-        assert parallel == e10_rows
-
-    def test_store_resume_reproduces_the_rows(self, e10_rows, tmp_path):
-        store = ResultStore(tmp_path / "e10.jsonl")
-        first = availability_experiment(
-            ("site-blackout",), transactions=80, seeds=(0,), store=store
-        )
-        warm = ResultStore(tmp_path / "e10.jsonl")
-        resumed = availability_experiment(
-            ("site-blackout",), transactions=80, seeds=(0,), store=warm
-        )
-        assert first == e10_rows
-        assert resumed == e10_rows
-        assert warm.hits == 6 and warm.misses == 0
-
-    def test_restricted_commit_layer_and_protocols(self):
-        rows = availability_experiment(
-            ("crash-storm",),
-            commit_protocols=("two-phase",),
-            protocols=(Protocol.TWO_PHASE_LOCKING,),
-            transactions=40,
-            seeds=(0,),
-        )
-        assert len(rows) == 1
-        assert rows[0]["commit"] == "two-phase"
-        assert rows[0]["atomic"]
-        assert rows[0]["crashes"] >= 1

@@ -55,9 +55,9 @@ class TestDifferentialEquivalence:
         assert live.conflicting_decisions() == ()
 
     def test_e12_experiment_reports_equivalence(self) -> None:
-        from repro.analysis.experiments import sim_live_equivalence
+        from repro.analysis.experiments import run_experiment
 
-        rows = sim_live_equivalence("uniform-baseline", transactions=10)
+        rows = run_experiment("e12", {"scenarios": ("uniform-baseline",), "transactions": 10})
         assert [row["mode"] for row in rows] == ["sim", "live", "equal"]
         sim_row, live_row, verdict = rows
         assert sim_row["committed_set_digest"] == live_row["committed_set_digest"]

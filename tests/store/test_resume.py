@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import sweep_arrival_rate
+from repro.analysis.experiments import run_experiment
 from repro.analysis.replications import replication_tasks, run_tasks
 from repro.analysis.tables import rows_to_table
 from repro.common.config import SystemConfig, WorkloadConfig
@@ -35,23 +35,20 @@ class TestResumeProducesIdenticalTables:
         self, tmp_path, tiny_system, tiny_workload
     ):
         rates = (10.0, 30.0)
-        fresh_rows = sweep_arrival_rate(rates, system=tiny_system, workload=tiny_workload)
+        params = {"system": tiny_system, "workload": tiny_workload, "rates": rates}
+        fresh_rows = run_experiment("e1", params)
         fresh_table = rows_to_table(fresh_rows)
 
         # Interrupted run: only a prefix of the sweep made it into the store
         # before the (simulated) kill, and the final append was cut short.
         store = ResultStore(tmp_path / "runs.jsonl")
-        sweep_arrival_rate(
-            rates[:1], system=tiny_system, workload=tiny_workload, store=store
-        )
+        run_experiment("e1", {**params, "rates": rates[:1]}, store=store)
         raw = store.path.read_bytes()
         store.path.write_bytes(raw[: len(raw) - 40])  # truncate mid-record
 
         resumed_store = ResultStore(tmp_path / "runs.jsonl")
         assert resumed_store.corrupt_lines == 1
-        resumed_rows = sweep_arrival_rate(
-            rates, system=tiny_system, workload=tiny_workload, jobs=2, store=resumed_store
-        )
+        resumed_rows = run_experiment("e1", params, jobs=2, store=resumed_store)
         assert rows_to_table(resumed_rows) == fresh_table
         # The lost (truncated) point was re-run, the intact ones were reused.
         assert resumed_store.hits == 2
@@ -62,18 +59,15 @@ class TestResumeProducesIdenticalTables:
     ):
         rates = (10.0, 30.0)
         store = ResultStore(tmp_path / "runs.jsonl")
-        first = sweep_arrival_rate(
-            rates, system=tiny_system, workload=tiny_workload, store=store
-        )
+        params = {"system": tiny_system, "workload": tiny_workload, "rates": rates}
+        first = run_experiment("e1", params, store=store)
 
         def explode(task):
             raise AssertionError("a warm re-run must not execute any simulation task")
 
         monkeypatch.setattr("repro.analysis.replications.execute_task", explode)
         warm_store = ResultStore(tmp_path / "runs.jsonl")
-        again = sweep_arrival_rate(
-            rates, system=tiny_system, workload=tiny_workload, store=warm_store
-        )
+        again = run_experiment("e1", params, store=warm_store)
         assert rows_to_table(again) == rows_to_table(first)
         assert warm_store.appended == 0
         assert warm_store.hits == len(rates) * 3

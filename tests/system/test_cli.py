@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import _parse_cluster, build_parser, main
+from repro.analysis.experiments import get_experiment
+from repro.cli import _ignored_flags, _parse_cluster, build_parser, main
 from repro.common.errors import ConfigurationError
 
 
@@ -207,6 +208,50 @@ class TestSweepCommand:
         )
         assert exit_code == 0
         assert "mean_system_time" in capsys.readouterr().out
+
+
+class TestIgnoredFlagNote:
+    """``sweep`` names the flags an experiment does not read, on stderr only."""
+
+    @pytest.mark.parametrize(
+        "experiment, flags, ignored",
+        [
+            ("e1", ["--arrival-rate", "5", "--rates", "10"], ["--arrival-rate"]),
+            ("e2", ["--min-size", "1", "--sizes", "2"], ["--min-size"]),
+            ("e3", ["--min-size", "1", "--hotspot", "0.3"], ["--min-size", "--hotspot"]),
+            ("e4", ["--arrival-rate", "5", "--sizes", "2"], ["--arrival-rate", "--sizes"]),
+            ("e5", ["--arrival-rate", "5"], ["--arrival-rate"]),
+            ("e6", ["--no-semi-locks", "--seed", "3"], ["--no-semi-locks"]),
+            ("e7", ["--sites", "3", "--jobs", "2"], ["--sites", "--jobs"]),
+            ("e8", ["--switch-after", "3", "--hotspot", "0.2"], ["--switch-after", "--hotspot"]),
+            ("e9", ["--sites", "2", "--seed", "3", "--transactions", "9"], ["--sites", "--seed"]),
+            ("e10", ["--commit", "two-phase", "--scenarios", "x"], ["--commit"]),
+            ("e11", ["--audit", "streaming", "--jobs", "2"], ["--audit"]),
+            ("e12", ["--store", "runs.jsonl", "--commit", "presumed-abort"], ["--store"]),
+        ],
+    )
+    def test_note_names_the_ignored_flags(self, experiment, flags, ignored):
+        args = build_parser().parse_args(["sweep", "--experiment", experiment, *flags])
+        assert _ignored_flags(args, get_experiment(experiment)) == ignored
+
+    def test_flags_at_their_defaults_are_not_named(self):
+        args = build_parser().parse_args(["sweep", "--experiment", "e9", "--sites", "4"])
+        assert _ignored_flags(args, get_experiment("e9")) == []
+
+    def test_note_goes_to_stderr_and_stdout_is_unchanged(self, capsys):
+        argv = ["sweep", "--experiment", "e3", "--sites", "2", "--transactions", "20"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--min-size", "1", "--read-fraction", "0.2"]) == 0
+        noted = capsys.readouterr()
+        assert noted.out == plain.out
+        assert plain.err == ""
+        assert noted.err == "note: e3 ignores --min-size, --read-fraction\n"
+
+    def test_e12_refuses_an_explicit_one_phase_commit(self, capsys):
+        argv = ["sweep", "--experiment", "e12", "--commit", "one-phase", "--transactions", "5"]
+        assert main(argv) == 2
+        assert "one-phase" in capsys.readouterr().err
 
 
 class TestScenarioCommand:

@@ -5,7 +5,7 @@ bytecode cache each module it imports is compiled from source, so the
 modules a run loads are part of its cost.  The gate runs a plain
 ``zipf-hotspot`` simulation (one-phase commit, batch audit) in a fresh
 interpreter and checks that none of the code only other configurations
-need — the selector, the experiment drivers, the live transport, the
+need — the selector, the experiment registry, the live transport, the
 streaming audit, the fault injector, the two-phase commit family,
 ``multiprocessing`` — was imported, and that the number of ``repro``
 modules stays under a fixed ceiling.

@@ -7,7 +7,6 @@ from repro.workload.scenarios import (
     Scenario,
     all_scenarios,
     get_scenario,
-    run_scenario,
 )
 
 #: Scenarios that must exist for the CLI examples and DESIGN.md to hold.
@@ -65,7 +64,7 @@ class TestRegistry:
 class TestScenarioRuns:
     @pytest.mark.parametrize("name", EXPECTED_SCENARIOS)
     def test_every_scenario_runs_and_is_serializable(self, name):
-        result = run_scenario(name, transactions=30, seeds=(0,))
+        result = get_scenario(name).configured(transactions=30).run(seeds=(0,))
         assert result.label == name
         assert result.all_serializable
         assert result.all_committed
@@ -75,12 +74,13 @@ class TestScenarioRuns:
         scenario = get_scenario(name)
         assert scenario.system.commit.protocol == "two-phase"
         assert scenario.system.faults is not None
-        result = run_scenario(name, transactions=40, seeds=(0,))
+        result = scenario.configured(transactions=40).run(seeds=(0,))
         assert result.label == name
         assert result.all_serializable
         assert result.all_committed
 
     def test_parallel_run_matches_serial_bit_for_bit(self):
-        serial = run_scenario("bursty-arrivals", transactions=40, seeds=(0, 1), jobs=1)
-        parallel = run_scenario("bursty-arrivals", transactions=40, seeds=(0, 1), jobs=2)
+        scenario = get_scenario("bursty-arrivals").configured(transactions=40)
+        serial = scenario.run(seeds=(0, 1), jobs=1)
+        parallel = scenario.run(seeds=(0, 1), jobs=2)
         assert serial == parallel

@@ -7,13 +7,14 @@ Fails (exit 1) when the source tree's documentation references drift:
    ``tests/``, ``benchmarks/``, ``tools/``, the ``Makefile``, ``README.md``
    or ``DESIGN.md`` must exist in the repository.
 2. **Experiment ids** — every ``E<n>`` id cited in an experiment context
-   (a line that also mentions ``experiment``/``DESIGN``, or a
-   ``bench_e<n>_*.py`` file name) must be defined in DESIGN.md's index.
-   Ranges like ``E1-E9`` / ``E1–E9`` are expanded.  Ids such as the
-   paper's *condition* (E1)/(E2) are out of scope and ignored.
-3. **CLI experiment choices** — the ids accepted by
-   ``python -m repro.cli sweep --experiment`` must match DESIGN.md's index
-   exactly (no drift in either direction).
+   (a line that also mentions ``experiment``/``DESIGN``) must be an entry
+   of the experiment registry (``repro.analysis.experiments``).  Ranges
+   like ``E1-E9`` / ``E1–E9`` are expanded.  Ids such as the paper's
+   *condition* (E1)/(E2) are out of scope and ignored.
+3. **Experiment index** — DESIGN.md's index table must list exactly the
+   registry's experiments, each with the registry's title (no drift in
+   either direction; the registry is the source, the CLI's ``sweep``
+   choices are generated from it).
 4. **Scenario examples** — every ``repro.cli scenario <name>`` example in
    the Markdown docs must name a registered scenario.
 5. **Module references** — every dotted ``repro.*`` path mentioned in a
@@ -35,7 +36,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,11 +59,9 @@ MD_REFERENCE = re.compile(r"\b([A-Za-z0-9_.-]+\.md)\b")
 EXPERIMENT_RANGE = re.compile(r"\bE(\d+)\s*[-–]\s*E(\d+)\b")
 EXPERIMENT_ID = re.compile(r"\bE(\d+)\b")
 EXPERIMENT_CONTEXT = re.compile(r"experiment|DESIGN", re.IGNORECASE)
-DESIGN_INDEX_ROW = re.compile(r"^\|\s*E(\d+)\s*\|")
-DESIGN_HEADING = re.compile(r"^###\s+E(\d+)\b")
-BENCH_FILE = re.compile(r"^bench_e(\d+)_.*\.py$")
+#: One row of DESIGN.md's experiment index: ``| E<n> | title | ...``.
+DESIGN_INDEX_ROW = re.compile(r"^\|\s*E(\d+)\s*\|\s*(.+?)\s*\|")
 SCENARIO_EXAMPLE = re.compile(r"repro\.cli\s+scenario\s+([a-z0-9][a-z0-9-]*)")
-CLI_EXPERIMENT_IDS = re.compile(r"EXPERIMENT_IDS\s*=\s*\(([^)]*)\)")
 MODULE_REFERENCE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 #: Markdown names that are allowed to be referenced without existing here
@@ -81,18 +80,14 @@ def iter_scanned_files() -> Iterable[Path]:
             yield from sorted(base.rglob("*.py"))
 
 
-def defined_experiment_ids() -> Set[int]:
-    """Ids DESIGN.md defines, via its index table rows and ``### E<n>`` headings."""
-    design = ROOT / "DESIGN.md"
-    ids: Set[int] = set()
-    if not design.exists():
-        return ids
-    for line in design.read_text(encoding="utf-8").splitlines():
-        for pattern in (DESIGN_INDEX_ROW, DESIGN_HEADING):
-            match = pattern.match(line.strip() if pattern is DESIGN_INDEX_ROW else line)
-            if match:
-                ids.add(int(match.group(1)))
-    return ids
+def load_experiments():
+    """The experiment registry's entries, imported from ``src/``."""
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        from repro.analysis.experiments import all_experiments
+    finally:
+        sys.path.pop(0)
+    return all_experiments()
 
 
 def cited_experiment_ids(path: Path) -> Iterable[Tuple[int, str]]:
@@ -130,10 +125,7 @@ def check_markdown_references(errors: List[str]) -> None:
 
 
 def check_experiment_ids(errors: List[str]) -> None:
-    defined = defined_experiment_ids()
-    if not defined:
-        errors.append("DESIGN.md: no experiment ids defined (index table missing?)")
-        return
+    defined = {int(experiment.id[1:]) for experiment in load_experiments()}
     for path in iter_scanned_files():
         if path.suffix == ".py" and path.name == "check_docs.py":
             continue
@@ -141,37 +133,39 @@ def check_experiment_ids(errors: List[str]) -> None:
             if identifier not in defined:
                 errors.append(
                     f"{path.relative_to(ROOT)}: cites experiment E{identifier} "
-                    f"not defined in DESIGN.md ({line[:80]})"
-                )
-    benchmarks = ROOT / "benchmarks"
-    if benchmarks.is_dir():
-        for path in sorted(benchmarks.iterdir()):
-            match = BENCH_FILE.match(path.name)
-            if match and int(match.group(1)) not in defined:
-                errors.append(
-                    f"benchmarks/{path.name}: experiment id not defined in DESIGN.md"
+                    f"that the registry does not define ({line[:80]})"
                 )
 
 
-def check_cli_choices(errors: List[str]) -> None:
-    cli = ROOT / "src" / "repro" / "cli.py"
-    if not cli.exists():
-        errors.append("src/repro/cli.py: missing")
-        return
-    match = CLI_EXPERIMENT_IDS.search(cli.read_text(encoding="utf-8"))
-    if not match:
-        errors.append("src/repro/cli.py: EXPERIMENT_IDS tuple not found")
-        return
-    cli_ids = {
-        int(token.strip().strip("'\"").lstrip("e"))
-        for token in match.group(1).split(",")
-        if token.strip()
-    }
-    defined = defined_experiment_ids()
-    for missing in sorted(defined - cli_ids):
-        errors.append(f"src/repro/cli.py: DESIGN.md defines E{missing} but the CLI lacks it")
-    for extra in sorted(cli_ids - defined):
-        errors.append(f"src/repro/cli.py: CLI offers e{extra} but DESIGN.md does not define it")
+def experiment_index_errors(design_text: str, experiments: Sequence[object]) -> List[str]:
+    """Drift between DESIGN.md's index table and the registry's ``(id, title)`` pairs."""
+    titles = {experiment.id.upper(): experiment.title for experiment in experiments}
+    rows = {}
+    for line in design_text.splitlines():
+        match = DESIGN_INDEX_ROW.match(line.strip())
+        if match:
+            rows[f"E{match.group(1)}"] = match.group(2)
+    errors = [
+        f"DESIGN.md: index row {identifier} has no registry entry"
+        for identifier in rows
+        if identifier not in titles
+    ]
+    for identifier, title in titles.items():
+        if identifier not in rows:
+            errors.append(f"DESIGN.md: the index lacks registry entry {identifier}")
+        elif rows[identifier] != title:
+            errors.append(
+                f"DESIGN.md: index row {identifier} reads {rows[identifier]!r}, "
+                f"the registry's title is {title!r}"
+            )
+    return errors
+
+
+def check_experiment_index(errors: List[str]) -> None:
+    design = ROOT / "DESIGN.md"
+    if design.exists():
+        text = design.read_text(encoding="utf-8")
+        errors.extend(experiment_index_errors(text, load_experiments()))
 
 
 def check_scenario_examples(errors: List[str]) -> None:
@@ -295,7 +289,7 @@ def main() -> int:
             errors.append(f"{required}: missing")
     check_markdown_references(errors)
     check_experiment_ids(errors)
-    check_cli_choices(errors)
+    check_experiment_index(errors)
     check_scenario_examples(errors)
     check_module_references(errors)
     check_docstring_coverage(errors)

@@ -19,7 +19,6 @@ public definition rendered here actually has prose to show.
 from __future__ import annotations
 
 import ast
-import re
 import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
@@ -29,12 +28,6 @@ PACKAGE = ROOT / "src" / "repro"
 OUTPUT = ROOT / "docs" / "api"
 
 HEADER = "<!-- generated by tools/gen_api_docs.py; edit docstrings, not this file -->"
-
-#: One row of DESIGN.md's experiment index:
-#: ``| E<n> | description | `driver` | `bench script` |``.
-DESIGN_EXPERIMENT_ROW = re.compile(
-    r"^\|\s*(E\d+)\s*\|\s*(.+?)\s*\|\s*`([^`]+)`\s*\|\s*`([^`]+)`\s*\|$"
-)
 
 
 def module_name(path: Path) -> str:
@@ -156,8 +149,8 @@ def render_index(pages: Dict[str, str], summaries: Dict[str, str]) -> str:
         "Generated from the package docstrings by `tools/gen_api_docs.py`",
         "(`make api-docs`); `make check-docs` enforces that every public",
         "module, class and function carries the docstring rendered here.",
-        "Narrative entry points: [experiments.md](experiments.md) maps the",
-        "experiment ids to driver modules and bench scripts;",
+        "Narrative entry points: [experiments.md](experiments.md) lists the",
+        "experiment registry's entries and their bench cases;",
         "`docs/architecture.md` walks the layer map and",
         "`docs/determinism.md` states the determinism contract.",
         "",
@@ -171,41 +164,38 @@ def render_index(pages: Dict[str, str], summaries: Dict[str, str]) -> str:
 
 
 def render_experiments() -> str:
-    """The experiment index page: E-id -> driver module -> bench script.
+    """The experiment index page: one row per entry of the experiment registry.
 
-    The rows are parsed from DESIGN.md's experiment index table, so this
-    page can never drift from the repository's single source of truth —
-    it only *joins* each row to the generated driver-module pages.  The
-    driver functions all live in ``repro.analysis.experiments``; the bench
-    scripts are the runnable shells over them.
+    The rows come from ``repro.analysis.experiments`` itself — the registry
+    the CLI's ``sweep``, the parametrised bench and ``make check-docs``
+    read — so this page cannot drift from what runs.
     """
-    rows: List[Tuple[str, str, str, str]] = []
-    design = ROOT / "DESIGN.md"
-    if design.exists():
-        for line in design.read_text(encoding="utf-8").splitlines():
-            match = DESIGN_EXPERIMENT_ROW.match(line.strip())
-            if match:
-                rows.append(match.groups())
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        from repro.analysis.experiments import all_experiments
+    finally:
+        sys.path.pop(0)
     out = [
         HEADER,
         "",
         "# Experiment index",
         "",
-        "Every experiment id, its driver function in",
-        "[`repro.analysis.experiments`](repro.analysis.experiments.md), and the",
-        "bench script that runs it end to end (rows parsed from DESIGN.md's",
-        "index, the single source of truth; rationale and table-reading notes",
-        "live there).  Run any experiment via",
+        "Every entry of the experiment registry in",
+        "[`repro.analysis.experiments`](repro.analysis.experiments.md): its id,",
+        "the question it answers, the parameters it reads, and its case in",
+        "`benchmarks/bench_experiments.py`, which runs it at bench size and",
+        "asserts its checks.  Rationale and table-reading notes live in",
+        "DESIGN.md.  Run any experiment via",
         "`python -m repro.cli sweep --experiment <id>`.",
         "",
-        "| Id | Question | Driver (in `repro.analysis.experiments`) | Bench script |",
+        "| Id | Question | Parameters | Bench case |",
         "| --- | --- | --- | --- |",
     ]
-    for identifier, description, driver, bench in rows:
+    for experiment in all_experiments():
+        params = ", ".join(f"`{name}`" for name in experiment.params)
         out.append(
-            f"| {identifier} | {description} "
-            f"| [`{driver}`](repro.analysis.experiments.md) "
-            f"| `benchmarks/{bench}` |"
+            f"| {experiment.id.upper()} | {experiment.title} | {params} "
+            f"| `test_experiment[{experiment.id}]` |"
         )
     out += [
         "",
